@@ -145,11 +145,16 @@ def quasiparticle_energy(k, params: ChainParams):
     return np.hypot(params.J * np.cos(k) + params.mu, 0.5 * params.Delta * f)
 
 
-def spectrum_energies(params: ChainParams) -> np.ndarray:
-    """Energies on the positive momentum grid (cached pairing sum)."""
+def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
+    """Energies on the positive momentum grid (cached pairing sum).
+
+    ``mu`` defaults to ``params.mu``.  A scalar gives shape (L/2,); a 1-D
+    array of mu values gives one row per value, shape (len(mu), L/2).
+    """
+    mu = np.asarray(params.mu if mu is None else mu, dtype=float)
     k = momentum_grid(params.L)
     f = _grid_pairing(params.L, params.alpha)
-    return np.hypot(params.J * np.cos(k) + params.mu, 0.5 * params.Delta * f)
+    return np.hypot(params.J * np.cos(k) + mu[..., None], 0.5 * params.Delta * f)
 
 
 def build_spectrum(params: ChainParams) -> QuasiparticleSpectrum:

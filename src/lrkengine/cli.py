@@ -128,13 +128,24 @@ def _load_config_file(path):
     return dict(parser.items("lrk"))
 
 
-_BOOL_KEYS = {"plots", "dense", "sweep_mu_flag"}
+def _file_value(action, key, raw):
+    """A config-file value parsed with the ``type`` and ``choices`` of its flag."""
+    if action.nargs == 0:  # an on/off flag
+        return raw.strip().lower() in ("1", "true", "yes", "on")
+    try:
+        value = action.type(raw) if action.type is not None else raw
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: invalid value {raw!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+    return value
 
 
-def _resolve(args):
+def _resolve(args, subparser):
     """Merge defaults, config-file values, and explicit flags (flags win)."""
     resolved = dict(args.__dict__)
     if resolved.get("config"):
+        actions = {a.dest: a for a in subparser._actions}
         file_vals = _load_config_file(resolved["config"])
         for key, raw in file_vals.items():
             key = key.replace("-", "_")
@@ -142,16 +153,7 @@ def _resolve(args):
                 raise ConfigError(f"unknown config key {key!r}")
             if resolved[key] is not None:
                 continue  # explicit flag wins
-            if key == "alpha":
-                resolved[key] = _parse_alpha(raw)
-            elif key in _BOOL_KEYS:
-                resolved[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif key in _INT_KEYS:
-                resolved[key] = int(raw)
-            elif key in _STR_KEYS:
-                resolved[key] = raw
-            else:
-                resolved[key] = float(raw)
+            resolved[key] = _file_value(actions[key], key, raw)
     for key, val in _DEFAULTS.items():
         if resolved.get(key) is None:
             resolved[key] = val
@@ -177,8 +179,6 @@ _DEFAULTS = {
     "format": "csv",
     "output_dir": ".",
 }
-_INT_KEYS = {"L", "mu_steps", "grid_density", "workers", "figure"}
-_STR_KEYS = {"format", "output_dir", "cycle", "config"}
 
 
 def _base(res, L_key="L"):
@@ -614,7 +614,7 @@ def _build_parser():
     p.add_argument("--mu-steps", dest="mu_steps", type=int)
     p.add_argument("--dense", action="store_const", const=True, default=None,
                    help="sample alpha with 100 log-spaced points instead of 6")
-    return parser
+    return parser, sub.choices
 
 
 _DISPATCH = {
@@ -631,11 +631,11 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     try:
-        res = _resolve(args)
+        res = _resolve(args, subparsers[args.subcommand])
         outdir = res["output_dir"]
         os.makedirs(outdir, exist_ok=True)
         files = _DISPATCH[args.subcommand](res, outdir)

@@ -175,6 +175,16 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
     return Q_I, Q_II, Q_III, Q_IV, W, Q_h
 
 
+def otto_engine_valid(W, Q_h, Q_c):
+    """Otto engine test W > 0 and Q_h > -Q_c > 0, on scalars or elementwise."""
+    return (W > 0.0) & (Q_h > -Q_c) & (-Q_c > 0.0)
+
+
+def stirling_engine_valid(W, Q_h):
+    """Stirling engine test W > 0 and Q_h > 0, on scalars or elementwise."""
+    return (W > 0.0) & (Q_h > 0.0)
+
+
 def _cycle_energies(spec: CycleSpec):
     eps_i = spectrum_energies(spec.base.with_mu(spec.mu_i))
     eps_f = spectrum_energies(spec.base.with_mu(spec.mu_f))
@@ -190,7 +200,7 @@ def otto_cycle(spec: CycleSpec) -> OttoResult:
     eps_i, eps_f = _cycle_energies(spec)
     Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, spec.baths.beta_h, spec.baths.beta_c)
     Q_h, Q_c, W = float(Q_h), float(Q_c), float(W)
-    engine_valid = W > 0.0 and Q_h > -Q_c > 0.0
+    engine_valid = otto_engine_valid(W, Q_h, Q_c)
     eta = W / Q_h if engine_valid else None
     return OttoResult(spec=spec, Q_h=Q_h, Q_c=Q_c, W=W, eta=eta, engine_valid=engine_valid)
 
@@ -203,7 +213,7 @@ def stirling_cycle(spec: CycleSpec) -> StirlingResult:
     )
     Q_I, Q_II, Q_III, Q_IV = float(Q_I), float(Q_II), float(Q_III), float(Q_IV)
     W, Q_h = float(W), float(Q_h)
-    engine_valid = W > 0.0 and Q_h > 0.0
+    engine_valid = stirling_engine_valid(W, Q_h)
     eta = W / Q_h if engine_valid else None
     return StirlingResult(
         spec=spec,
@@ -223,29 +233,44 @@ def carnot_efficiency(baths: BathPair) -> float:
     return 1.0 - baths.beta_h / baths.beta_c
 
 
+def ratio_arrays(W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr):
+    """Elementwise (R_W, R_eta, dQ_rel, xi) of finite-alpha against short-range.
+
+    ``eta_*`` is NaN where that chain is not an engine.  R_W needs W_sr != 0;
+    dQ_rel needs Q_h_sr != 0; xi needs a nonvanishing heat difference and a
+    defined reference efficiency; R_eta needs both chains engine-valid.  Zero
+    tests use a 1e-14 tolerance on the reference scale
+    max(|W_sr|, |Q_h_sr|, 1).  Undefined components are NaN.
+    """
+    W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr = (
+        np.asarray(a, dtype=float) for a in (W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr)
+    )
+    tol = 1e-14 * np.maximum(np.maximum(np.abs(W_sr), np.abs(Q_h_sr)), 1.0)
+    dQ = Q_h_sr - Q_h_lr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R_W = np.where(np.abs(W_sr) > tol, W_lr / W_sr, np.nan)
+        R_eta = eta_lr / eta_sr
+        dQ_rel = np.where(np.abs(Q_h_sr) > tol, dQ / Q_h_sr, np.nan)
+        has_xi = (np.abs(dQ) > tol) & np.isfinite(eta_sr) & (eta_sr != 0.0)
+        xi = np.where(has_xi, (W_sr - W_lr) / (eta_sr * dQ), np.nan)
+    return R_W, R_eta, dQ_rel, xi
+
+
 def ratio_diagnostics(lr, sr) -> RatioDiagnostics:
     """Compare a finite-alpha run ``lr`` with its short-range reference ``sr``.
 
-    R_W needs W_sr != 0; dQ_rel needs Q_h_sr != 0; xi needs a nonvanishing
-    heat difference and a defined reference efficiency; R_eta needs both runs
-    engine-valid.  Zero tests use a 1e-14 tolerance on the reference scale.
+    The components follow the rule of ``ratio_arrays``.
     """
     if type(lr) is not type(sr):
         raise ContractViolationError("cannot compare results of different cycle kinds")
     if not lr.spec.same_cycle_except_range(sr.spec):
         raise ContractViolationError("cycle specs differ beyond the interaction range")
 
-    tol = 1e-14 * max(abs(sr.W), abs(sr.Q_h), 1.0)
-    R_W = lr.W / sr.W if abs(sr.W) > tol else math.nan
-    dQ = sr.Q_h - lr.Q_h
-    dQ_rel = dQ / sr.Q_h if abs(sr.Q_h) > tol else math.nan
-    if lr.engine_valid and sr.engine_valid:
-        R_eta = lr.eta / sr.eta
-    else:
-        R_eta = math.nan
-    if abs(dQ) > tol and sr.eta is not None and sr.eta != 0.0:
-        xi = (sr.W - lr.W) / (sr.eta * dQ)
-    else:
-        xi = math.nan
+    def eta(r):
+        return math.nan if r.eta is None else r.eta
+
+    R_W, R_eta, dQ_rel, xi = (
+        float(v) for v in ratio_arrays(lr.W, lr.Q_h, eta(lr), sr.W, sr.Q_h, eta(sr))
+    )
     defined = all(math.isfinite(v) for v in (R_W, R_eta, dQ_rel, xi))
     return RatioDiagnostics(R_W=R_W, R_eta=R_eta, dQ_rel=dQ_rel, xi=xi, defined=defined)

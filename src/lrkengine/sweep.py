@@ -3,8 +3,12 @@ enhancement-region masks, and optimal-condition search.
 
 All sweeps are deterministic: grid points are evaluated independently and
 written into preallocated tables indexed by grid coordinates, so the result
-is identical for any worker count.  The short-range reference at a given
-(mu grid, baths) is computed once per sweep and shared through a cache.
+is identical for any worker count.  Each comparison is a long-range cycle
+table against its short-range twin.  The short-range reference at a given
+(mu grid, baths) does not depend on alpha; it is computed once per sweep and
+shared through a ``ReferenceCache``.  Long-range tables are evaluated
+directly.  Ratios follow ``cycles.ratio_arrays`` and a cell counts toward a
+maximum or a region only when both chains are engine-valid.
 """
 
 import math
@@ -14,7 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import SHORT_RANGE, ChainParams, InvalidParameterError, spectrum_energies
-from .cycles import otto_mode_sums, stirling_mode_sums
+from .cycles import (
+    otto_engine_valid,
+    otto_mode_sums,
+    ratio_arrays,
+    stirling_engine_valid,
+    stirling_mode_sums,
+)
 
 CYCLE_KINDS = ("otto", "stirling")
 
@@ -50,8 +60,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.cycle_kind not in CYCLE_KINDS:
             raise InvalidParameterError(f"unknown cycle kind {self.cycle_kind!r}")
-        if self.beta_c <= 0.0 or self.workers < 1:
-            raise InvalidParameterError("beta_c must be > 0 and workers >= 1")
+        if not (0.0 < self.beta_c < math.inf) or self.workers < 1:
+            raise InvalidParameterError("beta_c must be finite and > 0, and workers >= 1")
+        if not (0.0 <= self.mu_i < math.inf):
+            raise InvalidParameterError(f"mu_i must be finite and >= 0, got {self.mu_i}")
         for name, grid, lo, hi in (
             ("mu_ratio_grid", self.mu_ratio_grid, 0.0, 1.0),
             ("alpha_grid", self.alpha_grid, 1.0, math.inf),
@@ -68,6 +80,12 @@ class SweepConfig:
                 ok = np.all((arr >= 0.0) & (arr <= 1.0))
             if not ok:
                 raise InvalidParameterError(f"{name} values out of range")
+
+
+def _check_alpha(alpha):
+    """The alpha argument of a sweep entry: > 1, as cycles require, or SHORT_RANGE."""
+    if not float(alpha) > 1.0:
+        raise InvalidParameterError(f"sweeps require alpha > 1 or SHORT_RANGE, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -130,124 +148,84 @@ class CycleTable:
 
 
 class ReferenceCache:
-    """Shared store of cycle tables, counting actual evaluations.
+    """Store of short-range reference tables, counting actual evaluations.
 
-    Short-range reference tables are keyed identically to finite-alpha ones;
-    sharing the cache across a sweep guarantees each (mu grid, baths)
-    reference is computed exactly once.
+    A reference depends on the sweep's chain, mu grid and baths but not on
+    alpha, so sharing the cache across alphas computes each (mu grid, baths)
+    reference exactly once.  Long-range tables are never stored: no sweep
+    reads the same (alpha, beta ratio) table twice.
     """
 
     def __init__(self):
         self._store: dict = {}
         self.evaluations = 0
 
-    def table(self, kind, base: ChainParams, mu_i, mu_ratios, beta_h, beta_c) -> CycleTable:
-        key = (kind, base.L, base.J, base.Delta, base.alpha, mu_i, tuple(mu_ratios), beta_h, beta_c)
+    def table(self, config: SweepConfig, beta_ratio: float) -> CycleTable:
+        base = config.base
+        key = (
+            config.cycle_kind, base.L, base.J, base.Delta, config.mu_i,
+            tuple(config.mu_ratio_grid), beta_ratio * config.beta_c, config.beta_c,
+        )
         hit = self._store.get(key)
         if hit is None:
-            hit = _evaluate_table(kind, base, mu_i, np.asarray(mu_ratios), beta_h, beta_c)
+            hit = _evaluate_table(config, SHORT_RANGE, beta_ratio, config.mu_ratio_grid)
             self._store[key] = hit
             self.evaluations += 1
         return hit
 
 
-def _evaluate_table(kind, base, mu_i, mu_ratios, beta_h, beta_c) -> CycleTable:
-    eps_i = spectrum_energies(base.with_mu(float(mu_i)))
-    k = np.pi * (2 * np.arange(1, base.L // 2 + 1) - 1) / base.L
-    from .chain import _grid_pairing  # shared cache with single-cycle evaluation
-
-    f = _grid_pairing(base.L, base.alpha)
-    mu_f = np.asarray(mu_ratios, dtype=float) * float(mu_i)
-    eps_f = np.hypot(base.J * np.cos(k)[None, :] + mu_f[:, None], 0.5 * base.Delta * f[None, :])
-
-    if kind == "otto":
+def _evaluate_table(config: SweepConfig, alpha, beta_ratio, mu_ratios) -> CycleTable:
+    base = replace(config.base, alpha=float(alpha))
+    beta_c = config.beta_c
+    beta_h = beta_ratio * beta_c
+    eps_i = spectrum_energies(base, config.mu_i)
+    eps_f = spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
+    if config.cycle_kind == "otto":
         Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
-        valid = (W > 0.0) & (Q_h > -Q_c) & (-Q_c > 0.0)
+        valid = otto_engine_valid(W, Q_h, Q_c)
     else:
         _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
-        valid = (W > 0.0) & (Q_h > 0.0)
+        valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
 
 
-def _pair_tables(config: SweepConfig, alpha: float, beta_ratio: float, cache: ReferenceCache):
-    beta_c = config.beta_c
-    beta_h = beta_ratio * beta_c
-    base_lr = replace(config.base, alpha=float(alpha))
-    base_sr = replace(config.base, alpha=SHORT_RANGE)
-    lr = cache.table(config.cycle_kind, base_lr, config.mu_i, config.mu_ratio_grid, beta_h, beta_c)
-    sr = cache.table(config.cycle_kind, base_sr, config.mu_i, config.mu_ratio_grid, beta_h, beta_c)
-    return lr, sr
+def _pair_tables(config: SweepConfig, alpha, beta_ratio, cache: ReferenceCache):
+    lr = _evaluate_table(config, alpha, beta_ratio, config.mu_ratio_grid)
+    return lr, cache.table(config, beta_ratio)
+
+
+def _engine_ratios(lr: CycleTable, sr: CycleTable):
+    """(both engine-valid, R_W, R_eta), the ratios -inf where either chain is no engine."""
+    both = lr.engine_valid & sr.engine_valid
+    R_W, R_eta, _, _ = ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)
+    return both, np.where(both, R_W, -np.inf), np.where(both, R_eta, -np.inf)
 
 
 def sweep_mu(
     config: SweepConfig, alpha: float, beta_ratio: float, cache: ReferenceCache | None = None
 ) -> list[SweepRow]:
     """Ratio diagnostics along the mu_f/mu_i grid at fixed (alpha, beta_h/beta_c)."""
+    _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
-    tol = 1e-14 * np.maximum(np.maximum(np.abs(sr.W), np.abs(sr.Q_h)), 1.0)
-    rows = []
-    for i, r in enumerate(config.mu_ratio_grid):
-        W_sr, Q_sr = sr.W[i], sr.Q_h[i]
-        R_W = lr.W[i] / W_sr if abs(W_sr) > tol[i] else math.nan
-        dQ = Q_sr - lr.Q_h[i]
-        dQ_rel = dQ / Q_sr if abs(Q_sr) > tol[i] else math.nan
-        both = bool(lr.engine_valid[i] and sr.engine_valid[i])
-        R_eta = lr.eta[i] / sr.eta[i] if both else math.nan
-        eta_sr = sr.eta[i]
-        if abs(dQ) > tol[i] and math.isfinite(eta_sr) and eta_sr != 0.0:
-            xi = (W_sr - lr.W[i]) / (eta_sr * dQ)
-        else:
-            xi = math.nan
-        rows.append(
-            SweepRow(
-                mu_ratio=float(r),
-                R_W=float(R_W),
-                R_eta=float(R_eta),
-                dQ_rel=float(dQ_rel),
-                xi=float(xi),
-                engine_lr=bool(lr.engine_valid[i]),
-                engine_sr=bool(sr.engine_valid[i]),
-            )
+    columns = [c.tolist() for c in ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)]
+    return [
+        SweepRow(
+            mu_ratio=float(r), R_W=R_W, R_eta=R_eta, dQ_rel=dQ_rel, xi=xi,
+            engine_lr=e_lr, engine_sr=e_sr,
         )
-    return rows
-
-
-def _golden_refine(fun, xs, i_max, tol=1e-6):
-    """Golden-section maximum inside the bracketing triple around grid index i_max."""
-    lo, hi = xs[max(i_max - 1, 0)], xs[min(i_max + 1, len(xs) - 1)]
-    if hi - lo <= tol:
-        return xs[i_max], fun(xs[i_max])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+        for r, R_W, R_eta, dQ_rel, xi, e_lr, e_sr in zip(
+            config.mu_ratio_grid, *columns, lr.engine_valid.tolist(), sr.engine_valid.tolist()
+        )
+    ]
 
 
 def _point_ratio(config: SweepConfig, alpha, beta_ratio, mu_ratio, which: str) -> float:
-    beta_c = config.beta_c
-    beta_h = beta_ratio * beta_c
-    ratios = np.asarray([mu_ratio])
-    lr = _evaluate_table(config.cycle_kind, replace(config.base, alpha=float(alpha)), config.mu_i, ratios, beta_h, beta_c)
-    sr = _evaluate_table(config.cycle_kind, replace(config.base, alpha=SHORT_RANGE), config.mu_i, ratios, beta_h, beta_c)
-    if not (lr.engine_valid[0] and sr.engine_valid[0]):
-        return -math.inf
-    if which == "W":
-        return float(lr.W[0] / sr.W[0])
-    return float(lr.eta[0] / sr.eta[0])
+    lr = _evaluate_table(config, alpha, beta_ratio, (mu_ratio,))
+    sr = _evaluate_table(config, SHORT_RANGE, beta_ratio, (mu_ratio,))
+    _, R_W, R_eta = _engine_ratios(lr, sr)
+    return float((R_W if which == "W" else R_eta)[0])
 
 
 def _stable_argmax(R, neighbors, valid, midpoint_ratio, rel_tol=0.05):
@@ -287,19 +265,20 @@ def max_ratios(
     alpha: float,
     beta_ratio: float,
     cache: ReferenceCache | None = None,
-    refine: bool = False,
 ) -> MaxRatioPoint:
     """Grid maxima of R_W and R_eta over mu_f/mu_i; non-engine points excluded.
 
-    Cells flagged unstable under half-step refinement along mu (divergence
-    shoulders at the engine-validity boundary, see ``_stable_argmax`` with its
-    default ``rel_tol`` of 5%) are exempted from the maxima and listed.  Ties
-    break toward the smallest grid index.  With ``refine`` the maximum is
-    polished by a golden-section search inside the bracketing triple.
+    A cell counts only when both chains are engine-valid.  Cells flagged
+    unstable under half-step refinement along mu (divergence shoulders at the
+    engine-validity boundary, see ``_stable_argmax`` with its default
+    ``rel_tol`` of 5%) are exempted from the maxima and listed.  Ties break
+    toward the smallest grid index.  ``cache`` holds the short-range
+    references; the long-range table is evaluated on every call.
     """
+    _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
-    valid = lr.engine_valid & sr.engine_valid & (np.abs(sr.W) > 0) & (np.abs(sr.Q_h) > 0)
+    valid, R_W, R_eta = _engine_ratios(lr, sr)
     n_valid = int(np.sum(valid))
     if n_valid < 3:
         raise InsufficientDataError(
@@ -307,9 +286,6 @@ def max_ratios(
             f"beta_h/beta_c={beta_ratio}; need at least 3"
         )
     xs = np.asarray(config.mu_ratio_grid, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R_W = np.where(valid, lr.W / sr.W, -np.inf)
-        R_eta = np.where(valid, lr.eta / sr.eta, -np.inf)
 
     def neighbors(i):
         return [j for j in (i - 1, i + 1) if 0 <= j < xs.size]
@@ -324,7 +300,7 @@ def max_ratios(
 
     i_W, cusps_W = stable_argmax(R_W, "W")
     i_eta, cusps_eta = stable_argmax(R_eta, "eta")
-    out = MaxRatioPoint(
+    return MaxRatioPoint(
         R_W_max=float(R_W[i_W]),
         R_eta_max=float(R_eta[i_eta]),
         arg_mu_ratio_W=float(xs[i_W]),
@@ -333,45 +309,41 @@ def max_ratios(
         cusp_mu_ratios_W=tuple(float(xs[i]) for i in cusps_W),
         cusp_mu_ratios_eta=tuple(float(xs[i]) for i in cusps_eta),
     )
-    if refine:
-        xw, fw = _golden_refine(lambda x: _point_ratio(config, alpha, beta_ratio, x, "W"), xs, i_W)
-        xe, fe = _golden_refine(lambda x: _point_ratio(config, alpha, beta_ratio, x, "eta"), xs, i_eta)
-        if fw >= out.R_W_max:
-            out = replace(out, R_W_max=float(fw), arg_mu_ratio_W=float(xw))
-        if fe >= out.R_eta_max:
-            out = replace(out, R_eta_max=float(fe), arg_mu_ratio_eta=float(xe))
-    return out
+
+
+def _run(config: SweepConfig, fn, n):
+    """Call ``fn(0) .. fn(n - 1)``, on ``config.workers`` threads when above one."""
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            list(pool.map(fn, range(n)))
+    else:
+        for i in range(n):
+            fn(i)
 
 
 def enhancement_regions(
     config: SweepConfig, alpha: float, cache: ReferenceCache | None = None
 ) -> RegionMap:
-    """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1."""
+    """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
+
+    The short-range references are built serially, one per beta ratio; the
+    workers then evaluate the long-range columns and reduce them.
+    """
+    _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     mu = np.asarray(config.mu_ratio_grid, dtype=float)
     br = np.asarray(config.beta_ratio_grid, dtype=float)
+    refs = [cache.table(config, b) for b in br]
     mask = np.zeros((mu.size, br.size), dtype=bool)
     excl = np.zeros(br.size, dtype=int)
 
     def fill(j):
-        lr, sr = _pair_tables(config, alpha, br[j], cache)
-        both = lr.engine_valid & sr.engine_valid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            R_W = lr.W / sr.W
-            R_eta = lr.eta / sr.eta
-        col = both & (R_W > 1.0) & (R_eta > 1.0)
-        mask[:, j] = col
+        lr = _evaluate_table(config, alpha, br[j], mu)
+        both, R_W, R_eta = _engine_ratios(lr, refs[j])
+        mask[:, j] = (R_W > 1.0) & (R_eta > 1.0)
         excl[j] = int(np.sum(~both))
 
-    # References are cached per beta ratio first so parallel fills stay pure.
-    for j in range(br.size):
-        _pair_tables(config, alpha, br[j], cache)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(fill, range(br.size)))
-    else:
-        for j in range(br.size):
-            fill(j)
+    _run(config, fill, br.size)
     return RegionMap(
         mu_ratio_grid=mu,
         beta_ratio_grid=br,
@@ -409,22 +381,14 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     mu_W_m = np.full(shape, np.nan)
     mu_eta_m = np.full(shape, np.nan)
 
-    # Warm the short-range reference cache serially: one entry per beta ratio.
-    for j in range(brs.size):
-        cache.table(
-            config.cycle_kind,
-            replace(config.base, alpha=SHORT_RANGE),
-            config.mu_i,
-            config.mu_ratio_grid,
-            brs[j] * config.beta_c,
-            config.beta_c,
-        )
+    # Built serially, so the workers below only read the cache.
+    for b in brs:
+        cache.table(config, b)
 
     def run_alpha(i):
-        local = ReferenceCache()
         for j in range(brs.size):
             try:
-                mr = max_ratios(config, alphas[i], brs[j], cache=_Chained(cache, local))
+                mr = max_ratios(config, alphas[i], brs[j], cache=cache)
             except InsufficientDataError:
                 continue
             R_W_m[i, j] = mr.R_W_max
@@ -432,12 +396,7 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
             mu_W_m[i, j] = mr.arg_mu_ratio_W
             mu_eta_m[i, j] = mr.arg_mu_ratio_eta
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(run_alpha, range(alphas.size)))
-    else:
-        for i in range(alphas.size):
-            run_alpha(i)
+    _run(config, run_alpha, alphas.size)
 
     if not np.isfinite(R_W_m).any() or not np.isfinite(R_eta_m).any():
         raise InsufficientDataError("no engine-valid (alpha, beta ratio) grid points")
@@ -474,22 +433,3 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
         cusp_cells_W=cusps_W,
         cusp_cells_eta=cusps_eta,
     )
-
-
-class _Chained:
-    """Read-through view: shared reference cache first, then a private one.
-
-    Keeps worker threads from racing on the shared dict while still reusing
-    the pre-warmed short-range tables.
-    """
-
-    def __init__(self, shared: ReferenceCache, local: ReferenceCache):
-        self.shared = shared
-        self.local = local
-
-    def table(self, kind, base, mu_i, mu_ratios, beta_h, beta_c):
-        key = (kind, base.L, base.J, base.Delta, base.alpha, mu_i, tuple(mu_ratios), beta_h, beta_c)
-        hit = self.shared._store.get(key)
-        if hit is not None:
-            return hit
-        return self.local.table(kind, base, mu_i, mu_ratios, beta_h, beta_c)

@@ -93,6 +93,25 @@ class TestExitCodes:
         code, _ = run(tmp_path, "otto", "--alpha", "1.05", "--config", str(cfg))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta_c", "abc"), ("alpha", "abc"), ("L", "2.5"), ("cycle", "carnot"),
+    ])
+    def test_bad_config_value(self, tmp_path, key, value):
+        entries = {"alpha": "1.05", "L": "200", "mu_steps": "21", key: value}
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[lrk]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code, _ = run(tmp_path, "sweep", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["regions", "--alpha", "0.5"],
+        ["sweep", "--alpha", "1.05", "--beta-c", "nan"],
+        ["sweep", "--alpha", "1.05", "--mu-i", "-1"],
+    ], ids=["regions-alpha-0.5", "sweep-beta-c-nan", "sweep-mu-i-negative"])
+    def test_sweep_domain(self, tmp_path, argv):
+        code, _ = run(tmp_path, *argv, *FAST)
+        assert code == EXIT_CONFIG
+
     def test_missing_section(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[other]\nL = 8\n")

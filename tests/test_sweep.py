@@ -50,6 +50,17 @@ class TestConfigValidation:
             SweepConfig(cycle_kind="otto", base=BASE, alpha_grid=(0.9, 2.0))
         with pytest.raises(InvalidParameterError):
             SweepConfig(cycle_kind="otto", base=BASE, beta_ratio_grid=(0.0, 0.5))
+        for bad in ({"beta_c": math.nan}, {"beta_c": math.inf},
+                    {"mu_i": -1.0}, {"mu_i": math.nan}, {"mu_i": math.inf}):
+            with pytest.raises(InvalidParameterError):
+                SweepConfig(cycle_kind="otto", base=BASE, **bad)
+        cfg = config(mu_steps=5, beta_ratio_grid=(0.2,))
+        for alpha in (0.5, 1.0, math.nan):
+            for call in (lambda: sweep_mu(cfg, alpha, 0.2),
+                         lambda: max_ratios(cfg, alpha, 0.2),
+                         lambda: enhancement_regions(cfg, alpha)):
+                with pytest.raises(InvalidParameterError):
+                    call()
 
     def test_defaults_valid(self):
         cfg = SweepConfig(cycle_kind="otto", base=BASE)
@@ -59,17 +70,24 @@ class TestConfigValidation:
 
 
 class TestSweepMu:
-    def test_rows_match_direct_cycle_evaluation(self):
-        cfg = config(mu_steps=11)
-        rows = sweep_mu(cfg, 1.05, 0.2)
-        baths = BathPair(beta_h=1.0, beta_c=5.0)
-        for r in rows[2:9:3]:
-            lr = otto_cycle(CycleSpec(base=replace(BASE, alpha=1.05), mu_i=2.0,
-                                      mu_f=2.0 * r.mu_ratio, baths=baths))
-            sr = otto_cycle(CycleSpec(base=replace(BASE, alpha=SHORT_RANGE), mu_i=2.0,
-                                      mu_f=2.0 * r.mu_ratio, baths=baths))
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_rows_match_direct_cycle_evaluation(self, kind):
+        cycle = otto_cycle if kind == "otto" else stirling_cycle
+        # At beta_h/beta_c = 0.48 both cycles have engine and non-engine rows.
+        rows = sweep_mu(config(kind=kind, mu_steps=11), 2.479, 0.48)
+        baths = BathPair(beta_h=0.48 * 5.0, beta_c=5.0)
+        assert {r.engine_lr and r.engine_sr for r in rows} == {True, False}
+        for r in rows:
+            lr = cycle(CycleSpec(base=replace(BASE, alpha=2.479), mu_i=2.0,
+                                 mu_f=2.0 * r.mu_ratio, baths=baths))
+            sr = cycle(CycleSpec(base=replace(BASE, alpha=SHORT_RANGE), mu_i=2.0,
+                                 mu_f=2.0 * r.mu_ratio, baths=baths))
             d = ratio_diagnostics(lr, sr)
-            assert r.R_W == pytest.approx(d.R_W, rel=1e-12)
+            for name in ("R_W", "R_eta", "dQ_rel", "xi"):
+                got, want = getattr(r, name), getattr(d, name)
+                assert math.isnan(got) == math.isnan(want), (name, r.mu_ratio)
+                if not math.isnan(want):
+                    assert got == pytest.approx(want, rel=1e-12), (name, r.mu_ratio)
             assert r.engine_lr == lr.engine_valid
             assert r.engine_sr == sr.engine_valid
 
@@ -94,8 +112,9 @@ class TestReferenceSharing:
         cache = ReferenceCache()
         for alpha in (1.05, 1.5, 3.0):
             sweep_mu(cfg, alpha, 0.2, cache=cache)
-        # 3 long-range tables + exactly 1 shared short-range table.
-        assert cache.evaluations == 4
+        # Long-range tables are not cached; the shared short-range table is
+        # computed exactly once.
+        assert cache.evaluations == 1
 
 
 class TestMaxRatios:
@@ -158,10 +177,13 @@ class TestRegions:
         region = enhancement_regions(cfg, 1.5)
         assert not region.mask.any()
 
-    def test_deterministic_across_workers(self):
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_deterministic_across_workers(self, kind):
         grid = tuple(np.linspace(0.1, 0.9, 9))
-        serial = enhancement_regions(config(mu_steps=41, beta_ratio_grid=grid, workers=1), 1.5)
-        parallel = enhancement_regions(config(mu_steps=41, beta_ratio_grid=grid, workers=4), 1.5)
+        serial = enhancement_regions(
+            config(kind=kind, mu_steps=41, beta_ratio_grid=grid, workers=1), 1.5)
+        parallel = enhancement_regions(
+            config(kind=kind, mu_steps=41, beta_ratio_grid=grid, workers=4), 1.5)
         assert np.array_equal(serial.mask, parallel.mask)
         assert serial.excluded == parallel.excluded
 
@@ -184,9 +206,10 @@ class TestOptimalCondition:
         assert oc.beta_ratio_star_W in (0.2, 0.3, 0.4, 0.5)
         assert oc.R_W_max >= 1.0
 
-    def test_deterministic_across_workers(self):
-        a = optimal_condition(self.small("otto", workers=1))
-        b = optimal_condition(self.small("otto", workers=4))
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_deterministic_across_workers(self, kind):
+        a = optimal_condition(self.small(kind, workers=1))
+        b = optimal_condition(self.small(kind, workers=4))
         assert a == b
 
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
