@@ -45,6 +45,8 @@ class ChainParams:
     alpha: float = SHORT_RANGE
 
     def __post_init__(self):
+        if not isinstance(self.L, (int, np.integer)):
+            raise InvalidParameterError(f"L must be an integer, got {self.L!r}")
         if self.L < 2 or self.L % 2 != 0:
             raise InvalidParameterError(f"L must be even and >= 2, got {self.L}")
         if not (self.alpha > 0.0):
@@ -88,20 +90,11 @@ def momentum_grid(L: int) -> np.ndarray:
     return np.pi * (2 * n - 1) / L
 
 
-@lru_cache(maxsize=None)
-def _pairing_weights(L: int, alpha: float) -> np.ndarray:
-    """d_l^(-alpha) for l = 1..L-1 with d_l = min(l, L - l)."""
-    ell = np.arange(1, L)
-    d = np.minimum(ell, L - ell)
-    w = d.astype(float) ** (-alpha)
-    w.setflags(write=False)
-    return w
-
-
 def _pairing_sum(k: np.ndarray, L: int, alpha: float) -> np.ndarray:
-    """Literal sum over l of sin(k*l)/d_l^alpha, chunked over k."""
-    w = _pairing_weights(L, alpha)
+    """Literal sum over l = 1..L-1 of sin(k*l)/d_l^alpha with d_l = min(l, L - l),
+    chunked over k."""
     ell = np.arange(1, L, dtype=float)
+    w = np.minimum(ell, L - ell) ** (-alpha)
     k = np.asarray(k, dtype=float)
     flat = k.ravel()
     out = np.empty_like(flat)
@@ -174,22 +167,19 @@ def bogoliubov_angle(k: float, params: ChainParams) -> float:
     return 0.5 * math.atan2(y, x)
 
 
-def winding_number(
-    params: ChainParams,
-    grid_density: int = 100_000,
-    gap_floor: float | None = None,
-) -> WindingResult:
+def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingResult:
     """Winding of the Bloch vector (J cos k + mu, Delta f(k)/2) over (-pi, pi).
 
     Computed by cumulative unwrapping of the vector angle on a uniform grid of
     ``grid_density`` points; the pairing sum uses the finite-L form at
     ``params.L``.  Returns the winding and its residual to the nearest
     half-integer; residuals above tolerance are reported in-band, not raised.
+    A minimum gap below 1e-6 max(|J|, |Delta|, |mu|) raises
+    ``GaplessConfigurationError``.
     """
     if grid_density < 1000:
         raise InvalidParameterError(f"grid_density must be >= 1000, got {grid_density}")
-    if gap_floor is None:
-        gap_floor = 1e-6 * max(abs(params.J), abs(params.Delta), abs(params.mu))
+    gap_floor = 1e-6 * max(abs(params.J), abs(params.Delta), abs(params.mu))
     k = np.linspace(-np.pi, np.pi, grid_density)
     f = pairing_function(k, params)
     x = params.J * np.cos(k) + params.mu
@@ -207,13 +197,17 @@ def winding_number(
 
 
 def spectrum_scan(params_base: ChainParams, mu_values) -> list[tuple[float, np.ndarray]]:
-    """Sorted single-particle levels {+-eps_k} for each mu in ``mu_values``."""
-    rows = []
-    for mu in mu_values:
-        e = spectrum_energies(params_base.with_mu(float(mu)))
-        levels = np.sort(np.concatenate([-e, e]))
-        rows.append((float(mu), levels))
-    return rows
+    """Sorted single-particle levels {+-eps_k} for each mu in ``mu_values``.
+
+    All mu values are evaluated in one ``spectrum_energies`` call; each
+    ``levels`` is a row of one (len(mu_values), L) array.
+    """
+    mus = np.asarray(mu_values, dtype=float)
+    if not np.all(np.isfinite(mus)):
+        raise InvalidParameterError("mu values must be finite")
+    e = spectrum_energies(params_base, mus)
+    levels = np.sort(np.concatenate([-e, e], axis=1), axis=1)
+    return list(zip(mus.tolist(), levels))
 
 
 def min_gap(params: ChainParams) -> float:

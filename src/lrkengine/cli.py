@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,17 +24,18 @@ from .chain import (
     DegenerateModeError,
     GaplessConfigurationError,
     InvalidParameterError,
+    momentum_grid,
+    spectrum_energies,
     spectrum_scan,
     winding_number,
 )
 from .cycles import BathPair, ContractViolationError, CycleSpec, otto_cycle, stirling_cycle
 from .oracle import EigensolverError, OracleScaleError
 from .sweep import (
+    CYCLE_KINDS,
     InsufficientDataError,
     ReferenceCache,
     SweepConfig,
-    default_beta_ratio_grid,
-    default_mu_ratio_grid,
     enhancement_regions,
     max_ratios,
     optimal_condition,
@@ -63,7 +65,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
-    return "%.17g" % float(x)
+    return "%.17g" % x
 
 
 def _parse_alpha(text):
@@ -72,21 +74,33 @@ def _parse_alpha(text):
     return float(text)
 
 
-def _write_csv(path, header, rows):
-    """Comma-separated, header row, LF endings, 17-significant-digit floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (bool, np.bool_)):
-                cells.append(str(int(v)))
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+#: Rows formatted and written per block, which bounds the memory a table's text takes.
+_CSV_BLOCK = 1 << 16
+
+
+def _cells(column) -> list:
+    """One column as text: bool and integer dtypes as integers, any other as %.17g."""
+    a = np.asarray(column)
+    if a.dtype.kind in "biu":
+        return [str(v) for v in a.astype(np.int64).tolist()]
+    return [_fmt(v) for v in a.astype(float, copy=False).tolist()]
+
+
+def _write_csv(path, header, columns):
+    """Comma-separated table of equal-length ``columns``: header row, LF endings."""
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = zip(*(_cells(c[i : i + _CSV_BLOCK]) for c in columns))
+            fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def _write_json(path, obj):
@@ -95,7 +109,7 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _plot_script(path, csv_name, title, xlabel, ylabel, plot_expr):
+def _plot_script(path, title, xlabel, ylabel, plot_expr):
     png = os.path.splitext(os.path.basename(path))[0] + ".png"
     text = "\n".join(
         [
@@ -134,7 +148,7 @@ def _file_value(action, key, raw):
         return raw.strip().lower() in ("1", "true", "yes", "on")
     try:
         value = action.type(raw) if action.type is not None else raw
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigError(f"config key {key!r}: invalid value {raw!r}") from exc
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
@@ -142,7 +156,11 @@ def _file_value(action, key, raw):
 
 
 def _resolve(args, subparser):
-    """Merge defaults, config-file values, and explicit flags (flags win)."""
+    """Merge defaults, config-file values, and explicit flags (flags win).
+
+    Only the subcommand's own flags are keys: a config key for any other
+    flag is unknown, and only flags the subcommand declares get defaults.
+    """
     resolved = dict(args.__dict__)
     if resolved.get("config"):
         actions = {a.dest: a for a in subparser._actions}
@@ -155,10 +173,10 @@ def _resolve(args, subparser):
                 continue  # explicit flag wins
             resolved[key] = _file_value(actions[key], key, raw)
     for key, val in _DEFAULTS.items():
-        if resolved.get(key) is None:
+        if key in resolved and resolved[key] is None:
             resolved[key] = val
     env_workers = os.environ.get("LRK_WORKERS")
-    if env_workers:
+    if env_workers and "workers" in resolved:
         try:
             resolved["workers"] = int(env_workers)
         except ValueError as exc:
@@ -170,28 +188,32 @@ _DEFAULTS = {
     "L": 2000,
     "J": 1.0,
     "Delta": 1.0,
+    "mu": 0.0,
+    "mu_min": -4.0,
+    "mu_max": 4.0,
     "mu_i": 2.0,
     "beta_c": 5.0,
     "beta_ratio": 0.2,
     "mu_steps": 201,
     "grid_density": 100_000,
+    "cycle": "otto",
     "workers": 1,
     "format": "csv",
     "output_dir": ".",
 }
 
 
-def _base(res, L_key="L"):
+def _base(res):
     alpha = res.get("alpha")
     if alpha is None:
         raise ConfigError("alpha is required (use --alpha, 'inf' for short range)")
     return ChainParams(
-        L=int(res[L_key]), J=float(res["J"]), Delta=float(res["Delta"]),
+        L=int(res["L"]), J=float(res["J"]), Delta=float(res["Delta"]),
         mu=0.0, alpha=alpha,
     )
 
 
-def _sweep_config(res, cycle_kind, mu_ratio_grid=None):
+def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
     return SweepConfig(
         cycle_kind=cycle_kind,
         base=ChainParams(L=int(res["L"]), J=float(res["J"]), Delta=float(res["Delta"]),
@@ -199,18 +221,35 @@ def _sweep_config(res, cycle_kind, mu_ratio_grid=None):
         mu_i=float(res["mu_i"]),
         mu_ratio_grid=tuple(mu_ratio_grid if mu_ratio_grid is not None
                             else np.linspace(0.0, 1.0, int(res["mu_steps"]))),
-        beta_c=float(res["beta_c"]),
+        beta_c=float(res["beta_c"] if beta_c is None else beta_c),
         workers=int(res["workers"]),
     )
 
 
-def _sweep_rows_csv(path, rows, alpha=None):
-    header = ["mu_ratio", "R_W", "R_eta", "dQ_rel", "xi", "engine_lr", "engine_sr"]
-    out = [[r.mu_ratio, r.R_W, r.R_eta, r.dQ_rel, r.xi, r.engine_lr, r.engine_sr] for r in rows]
-    if alpha is not None:
-        header = ["alpha"] + header
-        out = [[alpha] + row for row in out]
-    _write_csv(path, header, out)
+_SWEEP_COLUMNS = ("mu_ratio", "R_W", "R_eta", "dQ_rel", "xi", "engine_lr", "engine_sr")
+
+
+def _rows_csv(path, names, rows, alphas=None):
+    """A CSV of the attributes ``names`` of each row, after an ``alpha`` column if given."""
+    header, columns = list(names), [[getattr(r, n) for r in rows] for n in names]
+    if alphas is not None:
+        header, columns = ["alpha"] + header, [alphas] + columns
+    _write_csv(path, header, columns)
+
+
+def _spectrum_table(outdir, stem, params, mus, plots):
+    """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``."""
+    scan = spectrum_scan(params, mus)
+    _write_csv(os.path.join(outdir, f"{stem}.csv"), ["mu", "level_index", "energy"], [
+        np.repeat([mu for mu, _ in scan], params.L),
+        np.tile(np.arange(params.L), len(scan)),
+        np.concatenate([levels for _, levels in scan]),
+    ])
+    if not plots:
+        return [f"{stem}.csv"]
+    _plot_script(os.path.join(outdir, f"{stem}.gp"), "energy spectrum", "mu", "energy",
+                 f"'{stem}.csv' using 1:3 with dots notitle")
+    return [f"{stem}.csv", f"{stem}.gp"]
 
 
 # ---------------------------------------------------------------------------
@@ -218,30 +257,12 @@ def _sweep_rows_csv(path, rows, alpha=None):
 
 
 def _cmd_spectrum(res, outdir):
-    params = _base(res)
-    mu_min = float(res.get("mu_min") if res.get("mu_min") is not None else -4.0)
-    mu_max = float(res.get("mu_max") if res.get("mu_max") is not None else 4.0)
-    mus = np.linspace(mu_min, mu_max, int(res["mu_steps"]))
-    table = spectrum_scan(params, mus)
-    rows = []
-    for mu, levels in table:
-        for idx, e in enumerate(np.sort(levels)):
-            rows.append([mu, idx, e])
-    path = os.path.join(outdir, "spectrum.csv")
-    _write_csv(path, ["mu", "level_index", "energy"], rows)
-    files = ["spectrum.csv"]
-    if res.get("plots"):
-        _plot_script(os.path.join(outdir, "spectrum.gp"), "spectrum.csv",
-                     "energy spectrum", "mu", "energy",
-                     "'spectrum.csv' using 1:3 with dots notitle")
-        files.append("spectrum.gp")
-    return files
+    mus = np.linspace(float(res["mu_min"]), float(res["mu_max"]), res["mu_steps"])
+    return _spectrum_table(outdir, "spectrum", _base(res), mus, res.get("plots"))
 
 
 def _cmd_winding(res, outdir):
-    params = _base(res)
-    params = ChainParams(L=params.L, J=params.J, Delta=params.Delta,
-                         mu=float(res.get("mu") or 0.0), alpha=params.alpha)
+    params = _base(res).with_mu(float(res["mu"]))
     result = winding_number(params, grid_density=int(res["grid_density"]))
     path = os.path.join(outdir, "winding.json")
     _write_json(path, {"w": result.w, "residual": result.residual,
@@ -264,11 +285,11 @@ def _cmd_cycle(res, outdir, kind):
         cfg = _sweep_config(res, kind)
         rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
         name = f"{kind}-sweep.csv"
-        _sweep_rows_csv(os.path.join(outdir, name), rows)
+        _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
         files = [name]
         if res.get("plots"):
             gp = f"{kind}-sweep.gp"
-            _plot_script(os.path.join(outdir, gp), name, f"{kind} ratios",
+            _plot_script(os.path.join(outdir, gp), f"{kind} ratios",
                          "mu_f/mu_i", "ratio",
                          f"'{name}' using 1:2 with lines, '{name}' using 1:3 with lines")
             files.append(gp)
@@ -281,21 +302,21 @@ def _cmd_cycle(res, outdir, kind):
 
 
 def _cmd_sweep(res, outdir):
-    kind = res.get("cycle") or "otto"
+    kind = res["cycle"]
     base = _base(res)
     cfg = _sweep_config(res, kind)
     rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
-    if res.get("format") == "json":
+    if res["format"] == "json":
         name = "sweep.json"
         _write_json(os.path.join(outdir, name), [r.__dict__ for r in rows])
     else:
         name = "sweep.csv"
-        _sweep_rows_csv(os.path.join(outdir, name), rows)
+        _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
     return [name]
 
 
 def _cmd_regions(res, outdir):
-    kind = res.get("cycle") or "otto"
+    kind = res["cycle"]
     base = _base(res)
     cfg = _sweep_config(res, kind)
     region = enhancement_regions(cfg, base.alpha)
@@ -303,7 +324,7 @@ def _cmd_regions(res, outdir):
     _region_csv(os.path.join(outdir, name), region)
     files = [name]
     if res.get("plots"):
-        _plot_script(os.path.join(outdir, "regions.gp"), name, "enhancement regions",
+        _plot_script(os.path.join(outdir, "regions.gp"), "enhancement regions",
                      "mu_f/mu_i", "beta_h/beta_c",
                      f"'{name}' using 1:2:3 with image notitle")
         files.append("regions.gp")
@@ -311,15 +332,13 @@ def _cmd_regions(res, outdir):
 
 
 def _region_csv(path, region):
-    rows = []
-    for i, mu in enumerate(region.mu_ratio_grid):
-        for j, br in enumerate(region.beta_ratio_grid):
-            rows.append([mu, br, int(region.mask[i, j])])
-    _write_csv(path, ["mu_ratio", "beta_ratio", "enhanced"], rows)
+    mu, br = region.mu_ratio_grid, region.beta_ratio_grid
+    _write_csv(path, ["mu_ratio", "beta_ratio", "enhanced"],
+               [np.repeat(mu, br.size), np.tile(br, mu.size), region.mask.ravel()])
 
 
 def _cmd_optimal(res, outdir):
-    kind = res.get("cycle") or "otto"
+    kind = res["cycle"]
     cfg = _sweep_config(res, kind)
     oc = optimal_condition(cfg)
     name = "optimal.json"
@@ -347,92 +366,73 @@ def _alphas(res):
 
 
 def _fig1(res, outdir):
+    base = ChainParams(L=200, J=float(res["J"]), Delta=float(res["Delta"]))
     files = []
     mus = np.linspace(-4.0, 4.0, 161)
     for tag, alpha in (("a", 0.4), ("b", 1.7), ("c", 4.0)):
-        params = ChainParams(L=200, J=float(res["J"]), Delta=float(res["Delta"]),
-                             mu=0.0, alpha=alpha)
-        rows = []
-        for mu, levels in spectrum_scan(params, mus):
-            for idx, e in enumerate(np.sort(levels)):
-                rows.append([mu, idx, e])
-        name = f"fig1{tag}.csv"
-        _write_csv(os.path.join(outdir, name), ["mu", "level_index", "energy"], rows)
-        files.append(name)
+        files += _spectrum_table(outdir, f"fig1{tag}", replace(base, alpha=alpha), mus, True)
     # panel (d): winding map over the (mu, alpha) plane
-    rows = []
-    for alpha in np.geomspace(0.2, 10.0, 17):
-        for mu in np.linspace(-2.4, 2.4, 33):
-            params = ChainParams(L=200, J=float(res["J"]), Delta=float(res["Delta"]),
-                                 mu=float(mu), alpha=float(alpha))
-            try:
-                wr = winding_number(params, grid_density=10_001)
-                rows.append([mu, alpha, wr.w, wr.residual])
-            except GaplessConfigurationError:
-                rows.append([mu, alpha, math.nan, math.nan])
-    name = "fig1d.csv"
-    _write_csv(os.path.join(outdir, name), ["mu", "alpha", "w", "residual"], rows)
-    files.append(name)
-    for tag in ("a", "b", "c"):
-        gp = f"fig1{tag}.gp"
-        _plot_script(os.path.join(outdir, gp), f"fig1{tag}.csv", "energy spectrum",
-                     "mu", "energy", f"'fig1{tag}.csv' using 1:3 with dots notitle")
-        files.append(gp)
-    _plot_script(os.path.join(outdir, "fig1d.gp"), "fig1d.csv", "winding number",
+    alphas = np.geomspace(0.2, 10.0, 17)
+    mus = np.linspace(-2.4, 2.4, 33)
+    w = np.full((alphas.size, mus.size), math.nan)
+    residual = np.full_like(w, math.nan)
+    for i, j in np.ndindex(w.shape):
+        params = replace(base, mu=float(mus[j]), alpha=float(alphas[i]))
+        try:
+            wr = winding_number(params, grid_density=10_001)
+        except GaplessConfigurationError:
+            continue
+        w[i, j], residual[i, j] = wr.w, wr.residual
+    _write_csv(os.path.join(outdir, "fig1d.csv"), ["mu", "alpha", "w", "residual"], [
+        np.tile(mus, alphas.size), np.repeat(alphas, mus.size), w.ravel(), residual.ravel(),
+    ])
+    _plot_script(os.path.join(outdir, "fig1d.gp"), "winding number",
                  "mu", "alpha", "'fig1d.csv' using 1:2:3 with image notitle")
-    files.append("fig1d.gp")
-    return files
+    return files + ["fig1d.csv", "fig1d.gp"]
 
 
 def _fig3(res, outdir):
     files = []
     mu_i = 2.0
     ratios = np.linspace(0.0, 1.0, 81)
+    k = momentum_grid(2000)[::5]
     for tag, alpha in (("a", 1.05), ("b", 2.0), ("c", 10.0), ("d", SHORT_RANGE)):
-        base = ChainParams(L=2000, J=float(res["J"]), Delta=float(res["Delta"]),
-                           mu=0.0, alpha=alpha)
-        from .chain import momentum_grid, spectrum_energies
-
-        k = momentum_grid(base.L)[::5]
-        rows = []
-        for r in ratios:
-            eps = spectrum_energies(base.with_mu(float(r) * mu_i))[::5]
-            for kk, e in zip(k, eps):
-                rows.append([r, kk / math.pi, e])
+        base = ChainParams(L=2000, J=float(res["J"]), Delta=float(res["Delta"]), alpha=alpha)
+        eps = spectrum_energies(base, ratios * mu_i)[:, ::5]
         name = f"fig3{tag}.csv"
-        _write_csv(os.path.join(outdir, name), ["mu_ratio", "k_over_pi", "energy"], rows)
-        _plot_script(os.path.join(outdir, f"fig3{tag}.gp"), name, "quasiparticle energy",
+        _write_csv(os.path.join(outdir, name), ["mu_ratio", "k_over_pi", "energy"],
+                   [np.repeat(ratios, k.size), np.tile(k / math.pi, ratios.size), eps.ravel()])
+        _plot_script(os.path.join(outdir, f"fig3{tag}.gp"), "quasiparticle energy",
                      "mu_f/mu_i", "k/pi",
                      f"'{name}' using 1:2:3 with image notitle")
         files.extend([name, f"fig3{tag}.gp"])
     return files
 
 
+def _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=None):
+    """``sweep_mu`` at each alpha in turn: the alpha column and the rows."""
+    cfg = _sweep_config(res, kind, mu_ratio_grid=mu_ratio_grid, beta_c=beta_c)
+    cache = ReferenceCache()
+    rows = [row for alpha in alphas
+            for row in sweep_mu(cfg, float(alpha), float(res["beta_ratio"]), cache=cache)]
+    return np.repeat(alphas, len(cfg.mu_ratio_grid)), rows
+
+
 def _ratio_fig(res, outdir, kind, prefix):
-    """Four ratio-curve panels (R_W and R_eta at beta_c = 5 and 0.05)."""
+    """Four ratio-curve panels: R_W (a, b) and R_eta (c, d) at beta_c = 5 and 0.05.
+
+    Panels a and c, and b and d, plot one table.
+    """
     files = []
-    panels = (("a", 5.0), ("b", 0.05), ("c", 5.0), ("d", 0.05))
-    cache_by_bc = {}
-    for tag, beta_c in panels:
-        local = dict(res)
-        local["beta_c"] = beta_c
-        cfg = _sweep_config(local, kind)
-        cache = cache_by_bc.setdefault(beta_c, ReferenceCache())
-        rows = []
-        for alpha in _alphas(res):
-            for r in sweep_mu(cfg, alpha, float(res["beta_ratio"]), cache=cache):
-                rows.append([alpha, r.mu_ratio, r.R_W, r.R_eta, r.dQ_rel, r.xi,
-                             r.engine_lr, r.engine_sr])
-        name = f"{prefix}{tag}.csv"
-        _write_csv(os.path.join(outdir, name),
-                   ["alpha", "mu_ratio", "R_W", "R_eta", "dQ_rel", "xi",
-                    "engine_lr", "engine_sr"], rows)
-        ycol = "3" if tag in ("a", "b") else "4"
-        ylab = "R_W" if tag in ("a", "b") else "R_eta"
-        _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"), name,
-                     f"{kind} {ylab} (beta_c={beta_c})", "mu_f/mu_i", ylab,
-                     f"'{name}' using 2:{ycol} with lines notitle")
-        files.extend([name, f"{prefix}{tag}.gp"])
+    for tags, beta_c in (("ac", 5.0), ("bd", 0.05)):
+        alpha_col, rows = _alpha_sweep(res, kind, beta_c, _alphas(res))
+        for tag, ylab, ycol in zip(tags, ("R_W", "R_eta"), (3, 4)):
+            name = f"{prefix}{tag}.csv"
+            _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows, alpha_col)
+            _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"),
+                         f"{kind} {ylab} (beta_c={beta_c})", "mu_f/mu_i", ylab,
+                         f"'{name}' using 2:{ycol} with lines notitle")
+            files.extend([name, f"{prefix}{tag}.gp"])
     return files
 
 
@@ -440,19 +440,12 @@ def _diag_fig(res, outdir, kind, prefix):
     """dQ_rel and xi versus alpha for a set of mu_f/mu_i values, both beta_c."""
     files = []
     mu_ratios = (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)
+    alphas = np.geomspace(1.05, 6.0, 100 if res.get("dense") else 40)
     for tag, beta_c in (("a", 5.0), ("b", 0.05)):
-        local = dict(res)
-        local["beta_c"] = beta_c
-        cfg = _sweep_config(local, kind, mu_ratio_grid=mu_ratios)
-        cache = ReferenceCache()
-        rows = []
-        alphas = np.geomspace(1.05, 6.0, 100 if res.get("dense") else 40)
-        for alpha in alphas:
-            for r in sweep_mu(cfg, float(alpha), float(res["beta_ratio"]), cache=cache):
-                rows.append([alpha, r.mu_ratio, r.dQ_rel, r.xi])
+        alpha_col, rows = _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=mu_ratios)
         name = f"{prefix}{tag}.csv"
-        _write_csv(os.path.join(outdir, name), ["alpha", "mu_ratio", "dQ_rel", "xi"], rows)
-        _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"), name,
+        _rows_csv(os.path.join(outdir, name), ("mu_ratio", "dQ_rel", "xi"), rows, alpha_col)
+        _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"),
                      f"{kind} heat/efficiency diagnostics (beta_c={beta_c})",
                      "alpha", "dQ_rel", f"'{name}' using 1:3 with lines notitle")
         files.extend([name, f"{prefix}{tag}.gp"])
@@ -464,54 +457,41 @@ def _maxratio_fig(res, outdir, kind, prefix):
     files = []
     cfg = _sweep_config(res, kind)
     cache = ReferenceCache()
-    header = ["alpha", "beta_ratio", "R_W_max", "R_eta_max", "arg_W", "arg_eta"]
-
-    rows = []
-    for beta_ratio in (0.2, 0.4, 0.6, 0.8):
-        for alpha in _alphas(res):
+    for suffix, xlabel, xcol, cells in (
+        ("alpha", "alpha", 1, [(a, b) for b in (0.2, 0.4, 0.6, 0.8) for a in _alphas(res)]),
+        ("beta", "beta_h/beta_c", 2,
+         [(a, b) for a in ALPHA_PANEL for b in np.linspace(0.02, 0.98, 49)]),
+    ):
+        kept, points = [], []
+        for alpha, beta_ratio in cells:
             try:
-                mr = max_ratios(cfg, float(alpha), beta_ratio, cache=cache)
+                points.append(max_ratios(cfg, float(alpha), float(beta_ratio), cache=cache))
             except InsufficientDataError:
                 continue
-            rows.append([alpha, beta_ratio, mr.R_W_max, mr.R_eta_max,
-                         mr.arg_mu_ratio_W, mr.arg_mu_ratio_eta])
-    name = f"{prefix}-alpha.csv"
-    _write_csv(os.path.join(outdir, name), header, rows)
-    _plot_script(os.path.join(outdir, f"{prefix}-alpha.gp"), name,
-                 f"{kind} maximum ratios vs alpha", "alpha", "R_W_max",
-                 f"'{name}' using 1:3 with linespoints notitle")
-    files.extend([name, f"{prefix}-alpha.gp"])
-
-    rows = []
-    for alpha in ALPHA_PANEL:
-        for beta_ratio in np.linspace(0.02, 0.98, 49):
-            try:
-                mr = max_ratios(cfg, float(alpha), float(beta_ratio), cache=cache)
-            except InsufficientDataError:
-                continue
-            rows.append([alpha, beta_ratio, mr.R_W_max, mr.R_eta_max,
-                         mr.arg_mu_ratio_W, mr.arg_mu_ratio_eta])
-    name = f"{prefix}-beta.csv"
-    _write_csv(os.path.join(outdir, name), header, rows)
-    _plot_script(os.path.join(outdir, f"{prefix}-beta.gp"), name,
-                 f"{kind} maximum ratios vs beta_h/beta_c", "beta_h/beta_c", "R_W_max",
-                 f"'{name}' using 2:3 with linespoints notitle")
-    files.extend([name, f"{prefix}-beta.gp"])
+            kept.append((alpha, beta_ratio))
+        name = f"{prefix}-{suffix}.csv"
+        _write_csv(os.path.join(outdir, name),
+                   ["alpha", "beta_ratio", "R_W_max", "R_eta_max", "arg_W", "arg_eta"],
+                   [[a for a, _ in kept], [b for _, b in kept]]
+                   + [[getattr(p, n) for p in points]
+                      for n in ("R_W_max", "R_eta_max", "arg_mu_ratio_W", "arg_mu_ratio_eta")])
+        _plot_script(os.path.join(outdir, f"{prefix}-{suffix}.gp"),
+                     f"{kind} maximum ratios vs {xlabel}", xlabel, "R_W_max",
+                     f"'{name}' using {xcol}:3 with linespoints notitle")
+        files.extend([name, f"{prefix}-{suffix}.gp"])
     return files
 
 
-def _region_fig(res, outdir, kind, prefix, beta_cs=(5.0, 0.05)):
+def _region_fig(res, outdir, kind, prefix):
     files = []
-    for beta_c in beta_cs:
+    for beta_c in (5.0, 0.05):
+        cfg = _sweep_config(res, kind, beta_c=beta_c)
         for alpha in (1.05, 2.0, 6.0):
-            local = dict(res)
-            local["beta_c"] = beta_c
-            cfg = _sweep_config(local, kind)
             region = enhancement_regions(cfg, alpha)
             name = f"{prefix}-bc{_fmt(beta_c)}-a{_fmt(alpha)}.csv"
             _region_csv(os.path.join(outdir, name), region)
             gp = name.replace(".csv", ".gp")
-            _plot_script(os.path.join(outdir, gp), name,
+            _plot_script(os.path.join(outdir, gp),
                          f"{kind} enhancement regions (alpha={alpha}, beta_c={beta_c})",
                          "mu_f/mu_i", "beta_h/beta_c",
                          f"'{name}' using 1:2:3 with image notitle")
@@ -546,72 +526,57 @@ def _cmd_figure(res, outdir):
 # argument parsing and dispatch
 
 
+def _flag(*names, **kwargs):
+    """A parent parser declaring one flag, shared by the subcommands that read it."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(*names, **kwargs)
+    return parser
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file with a [lrk] section")
     common.add_argument("-o", "--output-dir", dest="output_dir")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--workers", type=int)
-    common.add_argument("--plots", action="store_const", const=True, default=None,
-                        help="also emit gnuplot scripts")
     common.add_argument("--L", type=int)
     common.add_argument("--J", type=float)
     common.add_argument("--Delta", type=float)
+    alpha = _flag("--alpha", type=_parse_alpha)
+    cycle = _flag("--cycle", choices=CYCLE_KINDS)
+    beta_ratio = _flag("--beta-ratio", type=float)
+    mu_steps = _flag("--mu-steps", type=_positive_int)
+    plots = _flag("--plots", action="store_const", const=True, default=None,
+                  help="also emit gnuplot scripts")
+    # the sweep grid: mu_i, the mu_f/mu_i steps, beta_c and the worker count
+    grid = [_flag("--mu-i", type=float), mu_steps, _flag("--beta-c", type=float),
+            _flag("--workers", type=int)]
 
     parser = argparse.ArgumentParser(prog="lrk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lrk {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common])
-    p.add_argument("--alpha", type=_parse_alpha)
-    p.add_argument("--mu-min", dest="mu_min", type=float)
-    p.add_argument("--mu-max", dest="mu_max", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
+    p = sub.add_parser("spectrum", parents=[common, alpha, mu_steps, plots])
+    p.add_argument("--mu-min", type=float)
+    p.add_argument("--mu-max", type=float)
 
-    p = sub.add_parser("winding", parents=[common])
-    p.add_argument("--alpha", type=_parse_alpha)
+    p = sub.add_parser("winding", parents=[common, alpha])
     p.add_argument("--mu", type=float)
-    p.add_argument("--grid-density", dest="grid_density", type=int)
+    p.add_argument("--grid-density", type=int)
 
-    for kind in ("otto", "stirling"):
-        p = sub.add_parser(kind, parents=[common])
-        p.add_argument("--alpha", type=_parse_alpha)
-        p.add_argument("--mu-i", dest="mu_i", type=float)
-        p.add_argument("--mu-f", dest="mu_f", type=float)
-        p.add_argument("--mu-ratio", dest="mu_ratio", type=float)
-        p.add_argument("--beta-c", dest="beta_c", type=float)
-        p.add_argument("--beta-ratio", dest="beta_ratio", type=float)
-        p.add_argument("--mu-steps", dest="mu_steps", type=int)
+    for kind in CYCLE_KINDS:
+        p = sub.add_parser(kind, parents=[common, alpha, *grid, beta_ratio, plots])
+        p.add_argument("--mu-f", type=float)
+        p.add_argument("--mu-ratio", type=float)
         p.add_argument("--sweep-mu", dest="sweep_mu_flag", action="store_const",
                        const=True, default=None)
 
-    p = sub.add_parser("sweep", parents=[common])
-    p.add_argument("--cycle", choices=("otto", "stirling"))
-    p.add_argument("--alpha", type=_parse_alpha)
-    p.add_argument("--mu-i", dest="mu_i", type=float)
-    p.add_argument("--beta-c", dest="beta_c", type=float)
-    p.add_argument("--beta-ratio", dest="beta_ratio", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
+    p = sub.add_parser("sweep", parents=[common, cycle, alpha, *grid, beta_ratio])
+    p.add_argument("--format", choices=("csv", "json"))
 
-    p = sub.add_parser("regions", parents=[common])
-    p.add_argument("--cycle", choices=("otto", "stirling"))
-    p.add_argument("--alpha", type=_parse_alpha)
-    p.add_argument("--mu-i", dest="mu_i", type=float)
-    p.add_argument("--beta-c", dest="beta_c", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
+    sub.add_parser("regions", parents=[common, cycle, alpha, *grid, plots])
+    sub.add_parser("optimal", parents=[common, cycle, *grid])
 
-    p = sub.add_parser("optimal", parents=[common])
-    p.add_argument("--cycle", choices=("otto", "stirling"))
-    p.add_argument("--mu-i", dest="mu_i", type=float)
-    p.add_argument("--beta-c", dest="beta_c", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
-
-    p = sub.add_parser("reproduce-figure", parents=[common])
+    p = sub.add_parser("reproduce-figure", parents=[common, *grid, beta_ratio])
     p.add_argument("figure", type=int)
-    p.add_argument("--beta-ratio", dest="beta_ratio", type=float)
-    p.add_argument("--mu-i", dest="mu_i", type=float)
-    p.add_argument("--beta-c", dest="beta_c", type=float)
-    p.add_argument("--mu-steps", dest="mu_steps", type=int)
     p.add_argument("--dense", action="store_const", const=True, default=None,
                    help="sample alpha with 100 log-spaced points instead of 6")
     return parser, sub.choices

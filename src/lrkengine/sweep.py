@@ -88,6 +88,12 @@ def _check_alpha(alpha):
         raise InvalidParameterError(f"sweeps require alpha > 1 or SHORT_RANGE, got {alpha}")
 
 
+def _check_beta_ratio(beta_ratio):
+    """The beta_h/beta_c argument of a sweep entry: in (0, 1], as ``BathPair`` requires."""
+    if not 0.0 < beta_ratio <= 1.0:
+        raise InvalidParameterError(f"sweeps require 0 < beta_h/beta_c <= 1, got {beta_ratio}")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     mu_ratio: float
@@ -191,6 +197,9 @@ def _evaluate_table(config: SweepConfig, alpha, beta_ratio, mu_ratios) -> CycleT
 
 
 def _pair_tables(config: SweepConfig, alpha, beta_ratio, cache: ReferenceCache):
+    """The long-range table and its short-range reference at one (alpha, beta ratio)."""
+    _check_alpha(alpha)
+    _check_beta_ratio(beta_ratio)
     lr = _evaluate_table(config, alpha, beta_ratio, config.mu_ratio_grid)
     return lr, cache.table(config, beta_ratio)
 
@@ -206,7 +215,6 @@ def sweep_mu(
     config: SweepConfig, alpha: float, beta_ratio: float, cache: ReferenceCache | None = None
 ) -> list[SweepRow]:
     """Ratio diagnostics along the mu_f/mu_i grid at fixed (alpha, beta_h/beta_c)."""
-    _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
     columns = [c.tolist() for c in ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)]
@@ -275,7 +283,6 @@ def max_ratios(
     toward the smallest grid index.  ``cache`` holds the short-range
     references; the long-range table is evaluated on every call.
     """
-    _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
     valid, R_W, R_eta = _engine_ratios(lr, sr)

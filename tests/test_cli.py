@@ -4,6 +4,7 @@ handling, exit codes, and manifest round-trips."""
 import json
 import re
 
+import numpy as np
 import pytest
 
 from lrkengine import (
@@ -11,6 +12,7 @@ from lrkengine import (
     ChainParams,
     CycleSpec,
     otto_cycle,
+    spectrum_scan,
     winding_number,
 )
 from lrkengine.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_OK, main
@@ -19,11 +21,27 @@ FAST = [
     "--L", "200", "--mu-steps", "21",
 ]
 
+MAX_RATIO_HEADER = "alpha,beta_ratio,R_W_max,R_eta_max,arg_W,arg_eta"
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main(list(argv) + ["-o", str(out)])
     return code, out
+
+
+def exit_code(tmp_path, *argv):
+    """The exit status of ``lrk argv``: returned by main, or raised by argparse."""
+    try:
+        return run(tmp_path, *argv)[0]
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_config(tmp_path, entries):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lrk]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return str(cfg)
 
 
 class TestSingleRuns:
@@ -67,6 +85,23 @@ class TestCsvFormat:
         digits = max(len(c.replace("-", "").replace(".", "").lstrip("0")) for c in cells)
         assert digits >= 15
 
+    def test_spectrum_csv_matches_scan(self, tmp_path):
+        code, out = run(tmp_path, "spectrum", "--alpha", "1.5", "--L", "200",
+                        "--mu-steps", "5")
+        assert code == EXIT_OK
+        raw = (out / "spectrum.csv").read_bytes()
+        assert b"\r" not in raw and raw.endswith(b"\n")
+        lines = raw.decode().split("\n")[:-1]
+        assert lines[0] == "mu,level_index,energy"
+        assert len(lines) == 1 + 5 * 200
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[1] for c in cells] == [str(i) for i in range(200)] * 5
+        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), np.linspace(-4.0, 4.0, 5))
+        for b, (mu, levels) in enumerate(scan):
+            block = cells[200 * b : 200 * (b + 1)]
+            assert all(float(c[0]) == mu for c in block)
+            assert np.array_equal([float(c[2]) for c in block], levels)
+
     def test_regions_csv(self, tmp_path):
         code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.05",
                         "--beta-c", "5", *FAST)
@@ -95,22 +130,50 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("beta_c", "abc"), ("alpha", "abc"), ("L", "2.5"), ("cycle", "carnot"),
+        ("mu_steps", "0"), ("mu_steps", "-3"),
     ])
     def test_bad_config_value(self, tmp_path, key, value):
         entries = {"alpha": "1.05", "L": "200", "mu_steps": "21", key: value}
-        cfg = tmp_path / "bad.ini"
-        cfg.write_text("[lrk]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
-        code, _ = run(tmp_path, "sweep", "--config", str(cfg))
+        code, _ = run(tmp_path, "sweep", "--config", write_config(tmp_path, entries))
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
-        ["regions", "--alpha", "0.5"],
-        ["sweep", "--alpha", "1.05", "--beta-c", "nan"],
-        ["sweep", "--alpha", "1.05", "--mu-i", "-1"],
-    ], ids=["regions-alpha-0.5", "sweep-beta-c-nan", "sweep-mu-i-negative"])
+        pytest.param(["regions", "--alpha", "0.5"], id="regions-alpha-0.5"),
+        pytest.param(["sweep", "--alpha", "1.05", "--beta-c", "nan"], id="sweep-beta-c-nan"),
+        pytest.param(["sweep", "--alpha", "1.05", "--mu-i", "-1"], id="sweep-mu-i-negative"),
+        *[pytest.param(["sweep", "--cycle", kind, "--alpha", "1.05", "--beta-ratio", ratio],
+                       id=f"sweep-{kind}-beta-ratio-{ratio}")
+          for kind in ("otto", "stirling") for ratio in ("1.5", "-0.2", "0")],
+    ])
     def test_sweep_domain(self, tmp_path, argv):
         code, _ = run(tmp_path, *argv, *FAST)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--alpha", "1.5", "--L", "200", "--mu-steps", "-3"],
+        ["spectrum", "--alpha", "1.5", "--L", "200", "--mu-steps", "0"],
+        ["sweep", "--alpha", "1.5", "--L", "200", "--mu-steps", "-3"],
+    ])
+    def test_mu_steps_not_positive(self, tmp_path, argv):
+        assert exit_code(tmp_path, *argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--alpha", "1.5", "--L", "200", "--format", "json"],
+        ["winding", "--alpha", "4", "--L", "200", "--plots"],
+        ["reproduce-figure", "3", "--plots"],
+        ["spectrum", "--alpha", "1.5", "--L", "200", "--workers", "2"],
+    ])
+    def test_flag_of_another_subcommand(self, tmp_path, argv):
+        assert exit_code(tmp_path, *argv) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("spectrum", "format", "json"), ("winding", "plots", "1"),
+    ])
+    def test_config_key_of_another_subcommand(self, tmp_path, subcommand, key, value):
+        cfg = write_config(tmp_path, {"alpha": "1.5", "L": "200", key: value})
+        code, out = run(tmp_path, subcommand, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
 
     def test_missing_section(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -178,6 +241,30 @@ class TestFigures:
             assert lines[0] == "mu_ratio,k_over_pi,energy"
             assert len(lines) > 1000
             assert (out / f"fig3{tag}.gp").exists()
+
+    @pytest.mark.parametrize("figure, header, rows", [
+        (5, "alpha,mu_ratio,dQ_rel,xi", [40 * 6] * 2),
+        (6, MAX_RATIO_HEADER, [6 * 4, 6 * 49]),
+        (7, "mu_ratio,beta_ratio,enhanced", [21 * 99] * 6),
+        (8, "alpha,mu_ratio,R_W,R_eta,dQ_rel,xi,engine_lr,engine_sr", [6 * 21] * 4),
+        (9, "alpha,mu_ratio,dQ_rel,xi", [40 * 6] * 2),
+        (10, MAX_RATIO_HEADER, [6 * 4, 6 * 49]),
+    ])
+    def test_figure_tables(self, tmp_path, figure, header, rows):
+        """Every CSV in the manifest has its header and one row per grid cell;
+        maximum-ratio tables drop the cells with too few engine-valid points."""
+        code, out = run(tmp_path, "reproduce-figure", str(figure), *FAST)
+        assert code == EXIT_OK
+        names = [n for n in json.loads((out / "run-manifest.json").read_text())["outputs"]
+                 if n.endswith(".csv")]
+        assert len(names) == len(rows)
+        for name, n in zip(names, rows):
+            lines = (out / name).read_text().split("\n")
+            assert lines[0] == header and lines[-1] == ""
+            if header == MAX_RATIO_HEADER:
+                assert 1 <= len(lines) - 2 <= n
+            else:
+                assert len(lines) - 2 == n
 
     def test_figure_4_panels(self, tmp_path):
         code, out = run(tmp_path, "reproduce-figure", "4", *FAST)

@@ -201,10 +201,15 @@ class TestScansAndGap:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("kwargs", [dict(L=3), dict(L=0), dict(alpha=0.0), dict(alpha=-1.0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(L=3), dict(L=0), dict(alpha=0.0), dict(alpha=-1.0), dict(L=2000.0), dict(L="2000"),
+    ])
     def test_bad_params(self, kwargs):
         with pytest.raises(InvalidParameterError):
             chain(**kwargs)
+
+    def test_numpy_integer_L(self):
+        assert chain(L=np.int64(200)).L == 200
 
     def test_short_range_flag(self):
         assert chain(alpha=SHORT_RANGE).short_range

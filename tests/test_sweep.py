@@ -61,6 +61,11 @@ class TestConfigValidation:
                          lambda: enhancement_regions(cfg, alpha)):
                 with pytest.raises(InvalidParameterError):
                     call()
+        for beta_ratio in (1.5, -0.2, 0.0, math.nan):
+            for call in (lambda: sweep_mu(cfg, 1.5, beta_ratio),
+                         lambda: max_ratios(cfg, 1.5, beta_ratio)):
+                with pytest.raises(InvalidParameterError):
+                    call()
 
     def test_defaults_valid(self):
         cfg = SweepConfig(cycle_kind="otto", base=BASE)
