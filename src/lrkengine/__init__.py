@@ -38,6 +38,7 @@ from .sweep import (
     SweepConfig,
     SweepRow,
     enhancement_regions,
+    max_ratio_row,
     max_ratios,
     optimal_condition,
     sweep_mu,

@@ -90,11 +90,19 @@ def momentum_grid(L: int) -> np.ndarray:
     return np.pi * (2 * n - 1) / L
 
 
-def _pairing_sum(k: np.ndarray, L: int, alpha: float) -> np.ndarray:
-    """Literal sum over l = 1..L-1 of sin(k*l)/d_l^alpha with d_l = min(l, L - l),
-    chunked over k."""
+def _pairing_weights(L: int, alpha: float):
+    """Distances l = 1..L-1 and their weights d_l^-alpha, d_l = min(l, L - l)."""
     ell = np.arange(1, L, dtype=float)
-    w = np.minimum(ell, L - ell) ** (-alpha)
+    return ell, np.minimum(ell, L - ell) ** (-alpha)
+
+
+def _pairing_sum(k: np.ndarray, L: int, alpha: float) -> np.ndarray:
+    """Literal sum over l = 1..L-1 of sin(k*l)/d_l^alpha, chunked over k.
+
+    O(L) sines per momentum: it serves arbitrary k and is the oracle of the
+    FFT forms used on the momentum grids.
+    """
+    ell, w = _pairing_weights(L, alpha)
     k = np.asarray(k, dtype=float)
     flat = k.ravel()
     out = np.empty_like(flat)
@@ -104,6 +112,34 @@ def _pairing_sum(k: np.ndarray, L: int, alpha: float) -> np.ndarray:
         block = flat[i : i + chunk]
         out[i : i + chunk] = np.sin(np.multiply.outer(block, ell)) @ w
     return out.reshape(k.shape)
+
+
+def _fft_grid_pairing(L: int, alpha: float) -> np.ndarray:
+    """The pairing sum on ``momentum_grid(L)`` by one complex FFT of length L.
+
+    With k_n = pi (2n - 1)/L, sin(k_n l) = Im e^{-i pi l/L} e^{2 pi i n l/L},
+    so f(k_n) is the imaginary part of a DFT of the twisted weights
+    w_l e^{-i pi l/L}; numpy's forward transform of their conjugate gives
+    -f(k_n).
+    """
+    ell, w = _pairing_weights(L, alpha)
+    a = np.zeros(L, dtype=complex)
+    a[1:] = w * np.exp(1j * np.pi * ell / L)
+    return -np.fft.fft(a)[1 : L // 2 + 1].imag
+
+
+def _fft_uniform_pairing(L: int, alpha: float, n: int) -> np.ndarray:
+    """The pairing sum on ``np.linspace(-pi, pi, n)`` by one FFT of length n - 1.
+
+    With k_j = -pi + 2 pi j/M, M = n - 1, sin(k_j l) = (-1)^l sin(2 pi j l/M),
+    so f(k_j) is the sine transform of a_l = (-1)^l w_l with l folded mod M;
+    the endpoint j = M repeats j = 0.
+    """
+    ell, w = _pairing_weights(L, alpha)
+    m = n - 1
+    a = np.where(ell % 2 == 0, w, -w)
+    f = -np.fft.fft(np.bincount(np.arange(1, L) % m, weights=a, minlength=m)).imag
+    return np.append(f, f[0])
 
 
 def pairing_function(k, params: ChainParams):
@@ -121,15 +157,14 @@ def pairing_function(k, params: ChainParams):
 
 
 @lru_cache(maxsize=256)
-def _grid_pairing(L: int, alpha: float) -> np.ndarray:
-    """Pairing sum on the positive momentum grid, cached per (L, alpha)."""
+def _grid_pairing(L: int, alpha: float):
+    """cos k and the pairing sum f(k) on the positive momentum grid, cached per (L, alpha)."""
     k = momentum_grid(L)
-    if math.isinf(alpha):
-        f = 2.0 * np.sin(k)
-    else:
-        f = _pairing_sum(k, L, alpha)
+    f = 2.0 * np.sin(k) if math.isinf(alpha) else _fft_grid_pairing(L, alpha)
+    cos_k = np.cos(k)
+    cos_k.setflags(write=False)
     f.setflags(write=False)
-    return f
+    return cos_k, f
 
 
 def quasiparticle_energy(k, params: ChainParams):
@@ -139,15 +174,14 @@ def quasiparticle_energy(k, params: ChainParams):
 
 
 def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
-    """Energies on the positive momentum grid (cached pairing sum).
+    """Energies on the positive momentum grid (cos k and f(k) cached per (L, alpha)).
 
     ``mu`` defaults to ``params.mu``.  A scalar gives shape (L/2,); a 1-D
     array of mu values gives one row per value, shape (len(mu), L/2).
     """
     mu = np.asarray(params.mu if mu is None else mu, dtype=float)
-    k = momentum_grid(params.L)
-    f = _grid_pairing(params.L, params.alpha)
-    return np.hypot(params.J * np.cos(k) + mu[..., None], 0.5 * params.Delta * f)
+    cos_k, f = _grid_pairing(params.L, params.alpha)
+    return np.hypot(params.J * cos_k + mu[..., None], 0.5 * params.Delta * f)
 
 
 def build_spectrum(params: ChainParams) -> QuasiparticleSpectrum:
@@ -172,8 +206,9 @@ def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingR
 
     Computed by cumulative unwrapping of the vector angle on a uniform grid of
     ``grid_density`` points; the pairing sum uses the finite-L form at
-    ``params.L``.  Returns the winding and its residual to the nearest
-    half-integer; residuals above tolerance are reported in-band, not raised.
+    ``params.L``, evaluated on that grid by one FFT.  Returns the winding and
+    its residual to the nearest half-integer; residuals above tolerance are
+    reported in-band, not raised.
     A minimum gap below 1e-6 max(|J|, |Delta|, |mu|) raises
     ``GaplessConfigurationError``.
     """
@@ -181,7 +216,10 @@ def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingR
         raise InvalidParameterError(f"grid_density must be >= 1000, got {grid_density}")
     gap_floor = 1e-6 * max(abs(params.J), abs(params.Delta), abs(params.mu))
     k = np.linspace(-np.pi, np.pi, grid_density)
-    f = pairing_function(k, params)
+    if params.short_range:
+        f = pairing_function(k, params)
+    else:
+        f = _fft_uniform_pairing(params.L, params.alpha, grid_density)
     x = params.J * np.cos(k) + params.mu
     y = 0.5 * params.Delta * f
     eps = np.hypot(x, y)

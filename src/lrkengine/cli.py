@@ -37,7 +37,7 @@ from .sweep import (
     ReferenceCache,
     SweepConfig,
     enhancement_regions,
-    max_ratios,
+    max_ratio_row,
     optimal_condition,
     sweep_mu,
 )
@@ -172,6 +172,10 @@ def _resolve(args, subparser):
             if resolved[key] is not None:
                 continue  # explicit flag wins
             resolved[key] = _file_value(actions[key], key, raw)
+    unread = [k for k in _unread_keys(args.subcommand, resolved) if resolved.get(k) is not None]
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+        raise ConfigError(f"this run does not read {flags}")
     for key, val in _DEFAULTS.items():
         if key in resolved and resolved[key] is None:
             resolved[key] = val
@@ -182,6 +186,34 @@ def _resolve(args, subparser):
         except ValueError as exc:
             raise ConfigError(f"LRK_WORKERS must be an integer, got {env_workers!r}") from exc
     return resolved
+
+
+#: Flags of ``reproduce-figure`` that each figure does not read; figures 1
+#: and 3 fix their chains and grids.
+_FIXED_FIGURE = ("L", "mu_i", "beta_c", "beta_ratio", "mu_steps", "workers", "dense")
+_FIGURE_UNREAD = {
+    1: _FIXED_FIGURE,
+    3: _FIXED_FIGURE,
+    4: ("beta_c", "workers"),
+    5: ("beta_c", "mu_steps", "workers"),
+    6: ("beta_ratio", "workers"),
+    7: ("beta_c", "beta_ratio", "dense"),
+    8: ("beta_c", "workers"),
+    9: ("beta_c", "mu_steps", "workers"),
+    10: ("beta_ratio", "workers"),
+}
+
+
+def _unread_keys(subcommand, res):
+    """Keys of flags the subcommand declares but this run would ignore."""
+    if subcommand == "reproduce-figure":
+        return _FIGURE_UNREAD.get(res["figure"], ())
+    if subcommand in CYCLE_KINDS:
+        if res.get("sweep_mu_flag"):
+            return ("mu_f", "mu_ratio")
+        unread = ("plots", "mu_steps", "workers")
+        return unread + ("mu_ratio",) if res.get("mu_f") is not None else unread
+    return ()
 
 
 _DEFAULTS = {
@@ -457,23 +489,21 @@ def _maxratio_fig(res, outdir, kind, prefix):
     files = []
     cfg = _sweep_config(res, kind)
     cache = ReferenceCache()
-    for suffix, xlabel, xcol, cells in (
-        ("alpha", "alpha", 1, [(a, b) for b in (0.2, 0.4, 0.6, 0.8) for a in _alphas(res)]),
-        ("beta", "beta_h/beta_c", 2,
-         [(a, b) for a in ALPHA_PANEL for b in np.linspace(0.02, 0.98, 49)]),
+    for suffix, xlabel, xcol, alphas, betas, alpha_major in (
+        ("alpha", "alpha", 1, _alphas(res), (0.2, 0.4, 0.6, 0.8), False),
+        ("beta", "beta_h/beta_c", 2, ALPHA_PANEL, tuple(np.linspace(0.02, 0.98, 49)), True),
     ):
-        kept, points = [], []
-        for alpha, beta_ratio in cells:
-            try:
-                points.append(max_ratios(cfg, float(alpha), float(beta_ratio), cache=cache))
-            except InsufficientDataError:
-                continue
-            kept.append((alpha, beta_ratio))
+        rows = [max_ratio_row(cfg, float(a), [float(b) for b in betas], cache=cache)
+                for a in alphas]
+        cells = [(i, j) for i in range(len(alphas)) for j in range(len(betas))]
+        if not alpha_major:
+            cells.sort(key=lambda c: (c[1], c[0]))
+        kept = [(alphas[i], betas[j], rows[i][j]) for i, j in cells if rows[i][j] is not None]
         name = f"{prefix}-{suffix}.csv"
         _write_csv(os.path.join(outdir, name),
                    ["alpha", "beta_ratio", "R_W_max", "R_eta_max", "arg_W", "arg_eta"],
-                   [[a for a, _ in kept], [b for _, b in kept]]
-                   + [[getattr(p, n) for p in points]
+                   [[a for a, _, _ in kept], [b for _, b, _ in kept]]
+                   + [[getattr(p, n) for _, _, p in kept]
                       for n in ("R_W_max", "R_eta_max", "arg_mu_ratio_W", "arg_mu_ratio_eta")])
         _plot_script(os.path.join(outdir, f"{prefix}-{suffix}.gp"),
                      f"{kind} maximum ratios vs {xlabel}", xlabel, "R_W_max",

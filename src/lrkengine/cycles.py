@@ -2,8 +2,10 @@
 
 Sign convention: every heat is positive when absorbed by the working medium.
 A cycle evaluation builds the initial- and final-mu spectra on the same
-momentum grid and reduces them with O(L) mode sums; the heavy pairing sum is
-cached per (L, alpha) inside the chain module.
+momentum grid and reduces them with O(L) mode sums.  The spectra come from
+the chain module, which computes the pairing sum on the grid by one FFT and
+keeps it, with cos k, per (L, alpha).  The mode sums take their beta_c-only
+factors as an optional argument, so a sweep over beta_h builds them once.
 """
 
 import math
@@ -129,48 +131,61 @@ class RatioDiagnostics:
     defined: bool
 
 
-def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
+def otto_cold_terms(eps_i, eps_f, beta_c: float):
+    """The beta_c-only factor of ``otto_mode_sums``: tanh(beta_c eps_f / 2)."""
+    return np.tanh(0.5 * beta_c * np.asarray(eps_f, dtype=float))
+
+
+def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     """Per-cycle Otto heats and work as mode sums over the last axis.
 
     ``eps_i`` has shape (nk,); ``eps_f`` may carry leading batch axes.
-    W is accumulated independently of Q_h and Q_c (same occupation factor,
-    different energy weights) so the first law is a nontrivial check.
+    ``cold`` is ``otto_cold_terms(eps_i, eps_f, beta_c)``, built here when
+    not given.  W is accumulated independently of Q_h and Q_c (same
+    occupation factor, different energy weights) so the first law is a
+    nontrivial check.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    occ = np.tanh(0.5 * beta_c * eps_f) - np.tanh(0.5 * beta_h * eps_i)
+    t_cf = otto_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
+    occ = t_cf - np.tanh(0.5 * beta_h * eps_i)
     Q_h = np.sum(eps_i * occ, axis=-1)
     Q_c = -np.sum(eps_f * occ, axis=-1)
     W = np.sum((eps_i - eps_f) * occ, axis=-1)
     return Q_h, Q_c, W
 
 
-def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
+def stirling_cold_terms(eps_i, eps_f, beta_c: float):
+    """The beta_c-only parts of ``stirling_mode_sums``, as (t_ci, t_cf, w_c, Q_III):
+    tanh(beta_c eps / 2) for eps_i and eps_f, the cold isotherm's ln cosh
+    work terms w_c per mode, and Q_III, which depends on beta_c alone."""
+    eps_i = np.asarray(eps_i, dtype=float)
+    eps_f = np.asarray(eps_f, dtype=float)
+    t_ci = np.tanh(0.5 * beta_c * eps_i)
+    t_cf = np.tanh(0.5 * beta_c * eps_f)
+    w_c = (2.0 / beta_c) * (lncosh(0.5 * beta_c * eps_i) - lncosh(0.5 * beta_c * eps_f))
+    Q_III = np.sum(w_c - (eps_i * t_ci - eps_f * t_cf), axis=-1)
+    return t_ci, t_cf, w_c, Q_III
+
+
+def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     """Per-process Stirling heats, closed-form work, and hot-bath heat.
 
     Returns (Q_I, Q_II, Q_III, Q_IV, W, Q_h) with W from the two-bracket
-    isothermal ln cosh form, independent of the Q-sum.
+    isothermal ln cosh form, independent of the Q-sum.  ``cold`` is
+    ``stirling_cold_terms(eps_i, eps_f, beta_c)``, built here when not given.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    lc_hi = lncosh(0.5 * beta_h * eps_i)
-    lc_hf = lncosh(0.5 * beta_h * eps_f)
-    lc_ci = lncosh(0.5 * beta_c * eps_i)
-    lc_cf = lncosh(0.5 * beta_c * eps_f)
+    t_ci, t_cf, w_c, Q_III = stirling_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
     t_hi = np.tanh(0.5 * beta_h * eps_i)
     t_hf = np.tanh(0.5 * beta_h * eps_f)
-    t_ci = np.tanh(0.5 * beta_c * eps_i)
-    t_cf = np.tanh(0.5 * beta_c * eps_f)
+    w_h = (2.0 / beta_h) * (lncosh(0.5 * beta_h * eps_f) - lncosh(0.5 * beta_h * eps_i))
 
-    Q_I = np.sum(
-        (2.0 / beta_h) * (lc_hf - lc_hi) - (eps_f * t_hf - eps_i * t_hi), axis=-1
-    )
+    Q_I = np.sum(w_h - (eps_f * t_hf - eps_i * t_hi), axis=-1)
     Q_II = np.sum(eps_f * (t_hf - t_cf), axis=-1)
-    Q_III = np.sum(
-        (2.0 / beta_c) * (lc_ci - lc_cf) - (eps_i * t_ci - eps_f * t_cf), axis=-1
-    )
     Q_IV = np.sum(eps_i * (t_ci - t_hi), axis=-1)
-    W = np.sum((2.0 / beta_h) * (lc_hf - lc_hi) + (2.0 / beta_c) * (lc_ci - lc_cf), axis=-1)
+    W = np.sum(w_h + w_c, axis=-1)
     Q_h = Q_I + Q_IV
     return Q_I, Q_II, Q_III, Q_IV, W, Q_h
 

@@ -7,8 +7,11 @@ is identical for any worker count.  Each comparison is a long-range cycle
 table against its short-range twin.  The short-range reference at a given
 (mu grid, baths) does not depend on alpha; it is computed once per sweep and
 shared through a ``ReferenceCache``.  Long-range tables are evaluated
-directly.  Ratios follow ``cycles.ratio_arrays`` and a cell counts toward a
-maximum or a region only when both chains are engine-valid.
+directly.  A sweep that walks beta_h builds each chain's spectra on the mu
+grid, and the beta_c-only factors of the mode sums, once per alpha; only the
+beta_h terms are evaluated per table.  Ratios follow ``cycles.ratio_arrays``
+and a cell counts toward a maximum or a region only when both chains are
+engine-valid.
 """
 
 import math
@@ -19,9 +22,11 @@ import numpy as np
 
 from .chain import SHORT_RANGE, ChainParams, InvalidParameterError, spectrum_energies
 from .cycles import (
+    otto_cold_terms,
     otto_engine_valid,
     otto_mode_sums,
     ratio_arrays,
+    stirling_cold_terms,
     stirling_engine_valid,
     stirling_mode_sums,
 )
@@ -166,7 +171,10 @@ class ReferenceCache:
         self._store: dict = {}
         self.evaluations = 0
 
-    def table(self, config: SweepConfig, beta_ratio: float) -> CycleTable:
+    def table(self, config: SweepConfig, beta_ratio: float, spectra=None) -> CycleTable:
+        """The reference at ``beta_ratio``; on a miss it is evaluated from
+        ``spectra``, the short-range ``_spectra`` of ``config``'s mu grid,
+        built here when not given."""
         base = config.base
         key = (
             config.cycle_kind, base.L, base.J, base.Delta, config.mu_i,
@@ -174,23 +182,34 @@ class ReferenceCache:
         )
         hit = self._store.get(key)
         if hit is None:
-            hit = _evaluate_table(config, SHORT_RANGE, beta_ratio, config.mu_ratio_grid)
+            if spectra is None:
+                spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
+            hit = _table(config, spectra, beta_ratio)
             self._store[key] = hit
             self.evaluations += 1
         return hit
 
 
-def _evaluate_table(config: SweepConfig, alpha, beta_ratio, mu_ratios) -> CycleTable:
+def _spectra(config: SweepConfig, alpha, mu_ratios):
+    """(eps_i, eps_f, cold) of one chain: the spectrum at mu_i, one row per
+    mu_f/mu_i in ``mu_ratios``, and the beta_c-only mode-sum factors."""
     base = replace(config.base, alpha=float(alpha))
-    beta_c = config.beta_c
-    beta_h = beta_ratio * beta_c
     eps_i = spectrum_energies(base, config.mu_i)
     eps_f = spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
+    cold_terms = otto_cold_terms if config.cycle_kind == "otto" else stirling_cold_terms
+    return eps_i, eps_f, cold_terms(eps_i, eps_f, config.beta_c)
+
+
+def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
+    """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c."""
+    eps_i, eps_f, cold = spectra
+    beta_c = config.beta_c
+    beta_h = beta_ratio * beta_c
     if config.cycle_kind == "otto":
-        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
+        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
+        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
@@ -200,7 +219,7 @@ def _pair_tables(config: SweepConfig, alpha, beta_ratio, cache: ReferenceCache):
     """The long-range table and its short-range reference at one (alpha, beta ratio)."""
     _check_alpha(alpha)
     _check_beta_ratio(beta_ratio)
-    lr = _evaluate_table(config, alpha, beta_ratio, config.mu_ratio_grid)
+    lr = _table(config, _spectra(config, alpha, config.mu_ratio_grid), beta_ratio)
     return lr, cache.table(config, beta_ratio)
 
 
@@ -230,8 +249,8 @@ def sweep_mu(
 
 
 def _point_ratio(config: SweepConfig, alpha, beta_ratio, mu_ratio, which: str) -> float:
-    lr = _evaluate_table(config, alpha, beta_ratio, (mu_ratio,))
-    sr = _evaluate_table(config, SHORT_RANGE, beta_ratio, (mu_ratio,))
+    lr = _table(config, _spectra(config, alpha, (mu_ratio,)), beta_ratio)
+    sr = _table(config, _spectra(config, SHORT_RANGE, (mu_ratio,)), beta_ratio)
     _, R_W, R_eta = _engine_ratios(lr, sr)
     return float((R_W if which == "W" else R_eta)[0])
 
@@ -285,6 +304,11 @@ def max_ratios(
     """
     cache = cache if cache is not None else ReferenceCache()
     lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
+    return _max_point(config, alpha, beta_ratio, lr, sr)
+
+
+def _max_point(config: SweepConfig, alpha, beta_ratio, lr: CycleTable, sr: CycleTable):
+    """``max_ratios`` of the table pair ``lr``, ``sr`` at (alpha, beta ratio)."""
     valid, R_W, R_eta = _engine_ratios(lr, sr)
     n_valid = int(np.sum(valid))
     if n_valid < 3:
@@ -318,6 +342,34 @@ def max_ratios(
     )
 
 
+def max_ratio_row(
+    config: SweepConfig, alpha: float, beta_ratios, cache: ReferenceCache | None = None
+) -> list:
+    """``max_ratios`` at each of ``beta_ratios`` for one alpha.
+
+    Both chains' spectra are built once for the whole row.  An entry is None
+    where ``max_ratios`` would raise ``InsufficientDataError``.
+    """
+    _check_alpha(alpha)
+    for b in beta_ratios:
+        _check_beta_ratio(b)
+    cache = cache if cache is not None else ReferenceCache()
+    sr = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
+    refs = [cache.table(config, b, sr) for b in beta_ratios]
+    return _max_ratio_row(config, alpha, beta_ratios, refs)
+
+
+def _max_ratio_row(config: SweepConfig, alpha, beta_ratios, refs) -> list:
+    lr = _spectra(config, alpha, config.mu_ratio_grid)
+    row = []
+    for b, ref in zip(beta_ratios, refs):
+        try:
+            row.append(_max_point(config, alpha, b, _table(config, lr, b), ref))
+        except InsufficientDataError:
+            row.append(None)
+    return row
+
+
 def _run(config: SweepConfig, fn, n):
     """Call ``fn(0) .. fn(n - 1)``, on ``config.workers`` threads when above one."""
     if config.workers > 1:
@@ -333,19 +385,22 @@ def enhancement_regions(
 ) -> RegionMap:
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
-    The short-range references are built serially, one per beta ratio; the
-    workers then evaluate the long-range columns and reduce them.
+    Both chains' spectra and the short-range references, one per beta
+    ratio, are built serially; the workers then evaluate the long-range
+    columns and reduce them.
     """
     _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
     mu = np.asarray(config.mu_ratio_grid, dtype=float)
     br = np.asarray(config.beta_ratio_grid, dtype=float)
-    refs = [cache.table(config, b) for b in br]
+    sr = _spectra(config, SHORT_RANGE, mu)
+    refs = [cache.table(config, b, sr) for b in br]
+    lr_spectra = _spectra(config, alpha, mu)
     mask = np.zeros((mu.size, br.size), dtype=bool)
     excl = np.zeros(br.size, dtype=int)
 
     def fill(j):
-        lr = _evaluate_table(config, alpha, br[j], mu)
+        lr = _table(config, lr_spectra, br[j])
         both, R_W, R_eta = _engine_ratios(lr, refs[j])
         mask[:, j] = (R_W > 1.0) & (R_eta > 1.0)
         excl[j] = int(np.sum(~both))
@@ -373,11 +428,12 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     both chains, or when the ratio at the half-step beta midpoint exceeds the
     cell value by more than ``rel_tol``.  Exempted cells are listed in
     ``cusp_cells_W`` / ``cusp_cells_eta``.  No alpha direction is tested:
-    W_sr does not depend on alpha, so the pole cannot run along it, and each
-    alpha midpoint would cost a new O(L^2) pairing sum.  The walk runs
-    serially after the worker pool, so the result is the same for any worker
-    count.  ``coincident`` is True when the work and efficiency argmax points
-    agree within one grid cell in both directions.
+    W_sr does not depend on alpha, so the pole cannot run along it.  The walk
+    runs serially after the worker pool, so the result is the same for any
+    worker count.  ``coincident`` is True when the work and efficiency argmax
+    points agree within one grid cell in both directions.  The short-range
+    spectra and references are built before the pool starts; each alpha row
+    builds its long-range spectra once for all beta ratios.
     """
     cache = cache if cache is not None else ReferenceCache()
     alphas = np.asarray(config.alpha_grid, dtype=float)
@@ -388,15 +444,13 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     mu_W_m = np.full(shape, np.nan)
     mu_eta_m = np.full(shape, np.nan)
 
-    # Built serially, so the workers below only read the cache.
-    for b in brs:
-        cache.table(config, b)
+    # Built serially, so the workers below only read them.
+    sr = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
+    refs = [cache.table(config, b, sr) for b in brs]
 
     def run_alpha(i):
-        for j in range(brs.size):
-            try:
-                mr = max_ratios(config, alphas[i], brs[j], cache=cache)
-            except InsufficientDataError:
+        for j, mr in enumerate(_max_ratio_row(config, alphas[i], brs, refs)):
+            if mr is None:
                 continue
             R_W_m[i, j] = mr.R_W_max
             R_eta_m[i, j] = mr.R_eta_max

@@ -166,6 +166,36 @@ class TestExitCodes:
     def test_flag_of_another_subcommand(self, tmp_path, argv):
         assert exit_code(tmp_path, *argv) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("figure, flag", [
+        *[(n, flag) for n in (1, 3) for flag in (
+            ["--L", "200"], ["--mu-i", "1.5"], ["--beta-c", "1"], ["--beta-ratio", "0.3"],
+            ["--mu-steps", "21"], ["--workers", "2"], ["--dense"])],
+        *[(n, ["--mu-steps", "21"]) for n in (5, 9)],
+        *[(n, ["--beta-ratio", "0.3"]) for n in (6, 7, 10)],
+        *[(n, ["--beta-c", "1"]) for n in (4, 5, 7, 8, 9)],
+        *[(n, ["--workers", "2"]) for n in (4, 5, 6, 8, 9, 10)],
+        (7, ["--dense"]),
+    ])
+    def test_figure_flag_not_read(self, tmp_path, figure, flag):
+        code, out = run(tmp_path, "reproduce-figure", str(figure), *flag)
+        assert code == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_figure_config_key_not_read(self, tmp_path):
+        cfg = write_config(tmp_path, {"mu_steps": "21"})
+        code, _ = run(tmp_path, "reproduce-figure", "5", "--config", cfg)
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    @pytest.mark.parametrize("flag", [
+        ["--plots"], ["--mu-steps", "21"], ["--workers", "2"],
+        ["--sweep-mu", "--mu-f", "1.0"], ["--sweep-mu", "--mu-ratio", "0.5"],
+        ["--mu-f", "1.0", "--mu-ratio", "0.5"],
+    ])
+    def test_cycle_flag_not_read(self, tmp_path, kind, flag):
+        code, _ = run(tmp_path, kind, "--alpha", "1.5", "--L", "200", *flag)
+        assert code == EXIT_CONFIG
+
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "format", "json"), ("winding", "plots", "1"),
     ])
@@ -253,7 +283,9 @@ class TestFigures:
     def test_figure_tables(self, tmp_path, figure, header, rows):
         """Every CSV in the manifest has its header and one row per grid cell;
         maximum-ratio tables drop the cells with too few engine-valid points."""
-        code, out = run(tmp_path, "reproduce-figure", str(figure), *FAST)
+        # Figures 5 and 9 fix their mu_f/mu_i values, so they take no --mu-steps.
+        argv = ["--L", "200"] if figure in (5, 9) else FAST
+        code, out = run(tmp_path, "reproduce-figure", str(figure), *argv)
         assert code == EXIT_OK
         names = [n for n in json.loads((out / "run-manifest.json").read_text())["outputs"]
                  if n.endswith(".csv")]

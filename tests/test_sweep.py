@@ -15,7 +15,9 @@ from lrkengine import (
     InvalidParameterError,
     ReferenceCache,
     SweepConfig,
+    chain,
     enhancement_regions,
+    max_ratio_row,
     max_ratios,
     optimal_condition,
     otto_cycle,
@@ -58,12 +60,14 @@ class TestConfigValidation:
         for alpha in (0.5, 1.0, math.nan):
             for call in (lambda: sweep_mu(cfg, alpha, 0.2),
                          lambda: max_ratios(cfg, alpha, 0.2),
+                         lambda: max_ratio_row(cfg, alpha, [0.2]),
                          lambda: enhancement_regions(cfg, alpha)):
                 with pytest.raises(InvalidParameterError):
                     call()
         for beta_ratio in (1.5, -0.2, 0.0, math.nan):
             for call in (lambda: sweep_mu(cfg, 1.5, beta_ratio),
-                         lambda: max_ratios(cfg, 1.5, beta_ratio)):
+                         lambda: max_ratios(cfg, 1.5, beta_ratio),
+                         lambda: max_ratio_row(cfg, 1.5, [0.2, beta_ratio])):
                 with pytest.raises(InvalidParameterError):
                     call()
 
@@ -148,6 +152,18 @@ class TestMaxRatios:
         with pytest.raises(InsufficientDataError):
             max_ratios(config(mu_steps=2), 1.05, 0.2)
 
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_row_matches_max_ratios(self, kind):
+        cfg = config(kind=kind, mu_steps=21)
+        betas = [0.2, 0.48, 0.9]
+        for beta_ratio, got in zip(betas, max_ratio_row(cfg, 2.479, betas)):
+            try:
+                want = max_ratios(cfg, 2.479, beta_ratio)
+            except InsufficientDataError:
+                want = None
+            assert got == want
+        assert max_ratio_row(config(mu_steps=2), 1.05, [0.2, 0.4]) == [None, None]
+
     def test_nonmonotonic_in_alpha_at_beta_04(self):
         cfg = config()
         cache = ReferenceCache()
@@ -181,6 +197,14 @@ class TestRegions:
                      beta_ratio_grid=tuple(np.linspace(0.1, 0.9, 9)))
         region = enhancement_regions(cfg, 1.5)
         assert not region.mask.any()
+
+    def test_spectra_built_once_before_pool(self):
+        # One pairing build for the alpha and one for SHORT_RANGE, however
+        # many threads evaluate the columns.
+        cfg = config(mu_steps=21, beta_ratio_grid=tuple(np.linspace(0.1, 0.9, 9)), workers=2)
+        chain._grid_pairing.cache_clear()
+        enhancement_regions(cfg, 1.37)
+        assert chain._grid_pairing.cache_info().misses == 2
 
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
     def test_deterministic_across_workers(self, kind):
