@@ -205,12 +205,18 @@ _FIGURE_UNREAD = {
 
 
 def _unread_keys(subcommand, res):
-    """Keys of flags the subcommand declares but this run would ignore."""
+    """Keys of flags the subcommand declares but this run would ignore.
+
+    One ``sweep_mu`` table takes no worker pool, so ``sweep`` and
+    ``--sweep-mu`` runs do not read ``workers``.
+    """
     if subcommand == "reproduce-figure":
         return _FIGURE_UNREAD.get(res["figure"], ())
+    if subcommand == "sweep":
+        return ("workers",)
     if subcommand in CYCLE_KINDS:
         if res.get("sweep_mu_flag"):
-            return ("mu_f", "mu_ratio")
+            return ("mu_f", "mu_ratio", "workers")
         unread = ("plots", "mu_steps", "workers")
         return unread + ("mu_ratio",) if res.get("mu_f") is not None else unread
     return ()

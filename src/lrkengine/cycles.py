@@ -6,6 +6,10 @@ momentum grid and reduces them with O(L) mode sums.  The spectra come from
 the chain module, which computes the pairing sum on the grid by one FFT and
 keeps it, with cos k, per (L, alpha).  The mode sums take their beta_c-only
 factors as an optional argument, so a sweep over beta_h builds them once.
+``otto_surface`` evaluates the Otto sums on a whole (mu_f, beta_h) grid as
+four dot products, one of them a GEMM, and states a bound on its distance
+from ``otto_mode_sums``; the sweeps screen on it and decide on the per-mode
+sums, which ``otto_cycle`` and ``stirling_cycle`` keep as the literal path.
 """
 
 import math
@@ -139,7 +143,8 @@ def otto_cold_terms(eps_i, eps_f, beta_c: float):
 def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     """Per-cycle Otto heats and work as mode sums over the last axis.
 
-    ``eps_i`` has shape (nk,); ``eps_f`` may carry leading batch axes.
+    ``eps_i`` has shape (nk,); ``eps_f`` may carry leading batch axes, and
+    ``beta_h`` may be a column of one value per row of ``eps_f``.
     ``cold`` is ``otto_cold_terms(eps_i, eps_f, beta_c)``, built here when
     not given.  W is accumulated independently of Q_h and Q_c (same
     occupation factor, different energy weights) so the first law is a
@@ -153,6 +158,36 @@ def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     Q_c = -np.sum(eps_f * occ, axis=-1)
     W = np.sum((eps_i - eps_f) * occ, axis=-1)
     return Q_h, Q_c, W
+
+
+def otto_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
+    """Otto Q_h, Q_c and W on the grid of ``eps_f`` rows x ``beta_hs``, with a bound on
+    their distance from ``otto_mode_sums``.
+
+    ``eps_f`` has shape (n_mu, nk) and ``cold`` is ``otto_cold_terms`` of it.  With
+    t_c = tanh(beta_c eps_f / 2) and t_h = tanh(beta_h eps_i / 2), the sums split into
+    four dot products of non-negative terms, a = t_c.eps_i and c = sum eps_f t_c per row,
+    b = t_h.eps_i per beta_h, and D = eps_f @ t_h^T, one GEMM:
+    Q_h = a - b, Q_c = D - c and W = Q_h + Q_c, each of shape (n_mu, n_beta).
+    Both forms use the same tanh arrays and round each of their sums of at most nk
+    terms of magnitude within (eps_i + eps_f)(t_c + t_h); the returned ``tol``,
+    (2 nk + 8) u (a + b + c + D) with u the unit roundoff, therefore bounds
+    |x - x_mode_sums| for each of Q_h, Q_c and W, in every summation order.  The
+    separated sums cancel, so the bound can exceed the per-mode rounding by
+    orders of magnitude: use the surface to screen, not to decide.
+    """
+    eps_i = np.asarray(eps_i, dtype=float)
+    eps_f = np.asarray(eps_f, dtype=float)
+    t_c = otto_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
+    t_h = np.tanh(0.5 * np.asarray(beta_hs, dtype=float)[:, None] * eps_i)
+    a = (t_c @ eps_i)[:, None]
+    c = np.sum(eps_f * t_c, axis=-1)[:, None]
+    b = t_h @ eps_i
+    D = eps_f @ t_h.T
+    Q_h = a - b
+    Q_c = D - c
+    tol = (2 * eps_i.size + 8) * (0.5 * np.finfo(float).eps) * (a + b + c + D)
+    return Q_h, Q_c, Q_h + Q_c, tol
 
 
 def stirling_cold_terms(eps_i, eps_f, beta_c: float):
@@ -174,6 +209,7 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     Returns (Q_I, Q_II, Q_III, Q_IV, W, Q_h) with W from the two-bracket
     isothermal ln cosh form, independent of the Q-sum.  ``cold`` is
     ``stirling_cold_terms(eps_i, eps_f, beta_c)``, built here when not given.
+    As in ``otto_mode_sums``, ``beta_h`` may be a column of one value per row.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)

@@ -4,14 +4,28 @@ enhancement-region masks, and optimal-condition search.
 All sweeps are deterministic: grid points are evaluated independently and
 written into preallocated tables indexed by grid coordinates, so the result
 is identical for any worker count.  Each comparison is a long-range cycle
-table against its short-range twin.  The short-range reference at a given
-(mu grid, baths) does not depend on alpha; it is computed once per sweep and
-shared through a ``ReferenceCache``.  Long-range tables are evaluated
-directly.  A sweep that walks beta_h builds each chain's spectra on the mu
-grid, and the beta_c-only factors of the mode sums, once per alpha; only the
-beta_h terms are evaluated per table.  Ratios follow ``cycles.ratio_arrays``
-and a cell counts toward a maximum or a region only when both chains are
-engine-valid.
+against its short-range twin, which does not depend on alpha.  Ratios follow
+``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
+when both chains are engine-valid.
+
+``sweep_mu`` evaluates one per-mode table per chain, the short-range one
+shared through a ``ReferenceCache``.  The grid sweeps, ``max_ratio_row``,
+``optimal_condition`` and ``enhancement_regions``, build each chain's
+spectra on the mu grid once per alpha and decide every cell in one step,
+``_Grid``:
+
+* Otto screens the (mu, beta) grid on ``cycles.otto_surface`` (one GEMM per
+  chain), whose values lie within a stated bound of the per-mode sums.  A
+  cell's engine validity, its R > 1 tests and its argmax candidacy are read
+  off the surface where they lie beyond the bound; every other cell is
+  recomputed from per-mode sums, so each decision equals the tables'.
+* Stirling evaluates its per-mode tables, one per beta ratio, and feeds
+  them through the same step with a bound of 0.
+
+Cells are recomputed from one-row spectra gathered into batches of at most
+half a table's rows, each row equal bitwise to the table's.  The cusp walks
+(``_cusp_rounds``) advance in rounds: each round evaluates the half-step
+midpoints of every unresolved column's current candidate together.
 """
 
 import math
@@ -25,6 +39,7 @@ from .cycles import (
     otto_cold_terms,
     otto_engine_valid,
     otto_mode_sums,
+    otto_surface,
     ratio_arrays,
     stirling_cold_terms,
     stirling_engine_valid,
@@ -201,7 +216,11 @@ def _spectra(config: SweepConfig, alpha, mu_ratios):
 
 
 def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
-    """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c."""
+    """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c.
+
+    ``beta_ratio`` may be a column of one value per spectrum row; each row
+    is then bitwise the row of the table at its own beta ratio.
+    """
     eps_i, eps_f, cold = spectra
     beta_c = config.beta_c
     beta_h = beta_ratio * beta_c
@@ -248,43 +267,313 @@ def sweep_mu(
     ]
 
 
-def _point_ratio(config: SweepConfig, alpha, beta_ratio, mu_ratio, which: str) -> float:
-    lr = _table(config, _spectra(config, alpha, (mu_ratio,)), beta_ratio)
-    sr = _table(config, _spectra(config, SHORT_RANGE, (mu_ratio,)), beta_ratio)
-    _, R_W, R_eta = _engine_ratios(lr, sr)
-    return float((R_W if which == "W" else R_eta)[0])
+def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
+    """``fn(mu_ratios, beta_ratios)`` in batches of at most half a table's rows
+    (one empty batch for no pairs), joined.  A batch builds its own spectra
+    and beta_c-only factors, so half a table keeps it within a table's memory."""
+    mu = np.asarray(mu_ratios, dtype=float)
+    br = np.asarray(beta_ratios, dtype=float)
+    step = max(1, len(config.mu_ratio_grid) // 2)
+    parts = [fn(mu[s : s + step], br[s : s + step]) for s in range(0, max(mu.size, 1), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _stable_argmax(R, neighbors, valid, midpoint_ratio, rel_tol=0.05):
-    """Index of the largest finite ``R`` that survives a half-step refinement.
+def _point_table(config: SweepConfig, alpha, mu_ratios, beta_ratios) -> CycleTable:
+    """Exact table rows of one chain at the pairs (mu_ratios[k], beta_ratios[k]).
+
+    Spectra and beta_c-only factors are built once per distinct mu ratio.
+    """
+    mu, rows = np.unique(mu_ratios, return_inverse=True)
+    eps_i, eps_f, cold = _spectra(config, alpha, mu)
+    if config.cycle_kind == "otto":
+        cold = cold[rows]
+    else:
+        t_ci, t_cf, w_c, Q_III = cold
+        cold = (t_ci, t_cf[rows], w_c[rows], Q_III[rows])
+    return _table(config, (eps_i, eps_f[rows], cold), np.asarray(beta_ratios, dtype=float)[:, None])
+
+
+def _exact_ratios(config: SweepConfig, alpha, mu_ratios, beta_ratios):
+    """``_engine_ratios`` at the pairs (mu_ratios[k], beta_ratios[k]) from per-mode sums,
+    equal bitwise to the same cells of the tables."""
+    return _batched(config, lambda mu, br: _engine_ratios(
+        _point_table(config, alpha, mu, br), _point_table(config, SHORT_RANGE, mu, br)),
+        mu_ratios, beta_ratios)
+
+
+@dataclass(eq=False)
+class _Surface:
+    """One Otto chain on the (mu_f/mu_i, beta_h/beta_c) grid.
+
+    W and Q_h lie within ``r`` of their per-mode sums; ``sure`` marks the
+    cells that the surface alone shows to be engines, and ``valid`` is the
+    exact engine validity wherever it was asked for.
+    """
+
+    W: np.ndarray
+    Q_h: np.ndarray
+    r: np.ndarray
+    sure: np.ndarray
+    valid: np.ndarray
+
+
+def _otto_surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surface:
+    """The ``otto_surface`` of ``_spectra`` output at the beta ratios ``brs``.
+
+    Engine validity is read off the surface where each of its three tests
+    lies beyond the bound; the other cells inside ``where`` are evaluated
+    by per-mode sums.  The bound is doubled, so the margins also cover the
+    rounding of the sums that test them.
+    """
+    eps_i, eps_f, cold = spectra
+    Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, brs * config.beta_c, config.beta_c, cold=cold)
+    r = 2.0 * tol
+    sure = (W > r) & (Q_h + Q_c > 2.0 * r) & (-Q_c > r)
+    unsure = ~sure & (W >= -r) & (Q_h + Q_c >= -2.0 * r) & (-Q_c >= -r) & where
+    valid = sure.copy()
+    i, j = np.nonzero(unsure)
+    mu = np.asarray(config.mu_ratio_grid, dtype=float)
+    (valid[i, j],) = _batched(
+        config, lambda m, b: (_point_table(config, alpha, m, b).engine_valid,), mu[i], brs[j])
+    return _Surface(W=W, Q_h=Q_h, r=r, sure=sure, valid=valid)
+
+
+def _stacked(tables) -> CycleTable:
+    """One table per beta ratio as one table with a column per beta ratio."""
+    return CycleTable(*(np.stack([getattr(t, f) for t in tables], axis=1)
+                        for f in ("W", "Q_h", "eta", "engine_valid")))
+
+
+class _Grid:
+    """The decisions of one alpha against the short range on the (mu, beta) grid.
+
+    ``both`` is the exact engine validity of both chains.  For each ratio
+    (``"W"``, ``"eta"``), ``lo`` and ``hi`` bound the exact value of
+    ``_engine_ratios`` and equal it where ``exact``; a ratio that is not
+    finite reads -inf.  ``refine`` makes cells exact.
+    """
+
+    def __init__(self, config, alpha, brs, both, lo, hi, exact):
+        self.config, self.alpha, self.brs = config, alpha, brs
+        self.both, self.lo, self.hi, self.exact = both, lo, hi, exact
+
+    @classmethod
+    def exact_tables(cls, config, alpha, brs, lr: CycleTable, sr: CycleTable):
+        both, R_W, R_eta = _engine_ratios(lr, sr)
+        R = {"W": _finite(R_W), "eta": _finite(R_eta)}
+        return cls(config, alpha, brs, both, R, R, np.ones(both.shape, dtype=bool))
+
+    @classmethod
+    def screened(cls, config, alpha, brs, lr: _Surface, sr: _Surface):
+        """Bands from the W and Q_h bounds where both chains are sure engines and
+        W_sr stays clear of the zero test of ``ratio_arrays``; every other
+        engine cell is refined at once."""
+        both = lr.valid & sr.valid
+        r, s = lr.r, sr.r
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            eta_lr = ((lr.W - r) / (lr.Q_h + r), (lr.W + r) / (lr.Q_h - r))
+            eta_sr = ((sr.W - s) / (sr.Q_h + s), (sr.W + s) / (sr.Q_h - s))
+            bands = {
+                "W": ((lr.W - r) / (sr.W + s), (lr.W + r) / (sr.W - s)),
+                "eta": (eta_lr[0] / eta_sr[1], eta_lr[1] / eta_sr[0]),
+            }
+        defined = sr.W - s > 2e-14 * np.maximum(np.maximum(sr.W + s, sr.Q_h + s), 1.0)
+        banded = both & lr.sure & sr.sure & defined
+        # The exact ratios take up to three roundings of their own.
+        u8 = 4.0 * np.finfo(float).eps
+        lo = {k: np.where(banded, b[0] * (1.0 - u8), -np.inf) for k, b in bands.items()}
+        hi = {k: np.where(banded, b[1] * (1.0 + u8), -np.inf) for k, b in bands.items()}
+        grid = cls(config, alpha, brs, both, lo, hi, ~banded)
+        grid.refine(*np.nonzero(both & ~banded))
+        return grid
+
+    def refine(self, i, j):
+        """Replace the bands of cells (i[k], j[k]) by their exact ratios."""
+        mu = np.asarray(self.config.mu_ratio_grid, dtype=float)
+        _, R_W, R_eta = _exact_ratios(self.config, self.alpha, mu[i], self.brs[j])
+        for k, R in (("W", R_W), ("eta", R_eta)):
+            self.lo[k][i, j] = self.hi[k][i, j] = _finite(R)
+        self.exact[i, j] = True
+
+    def region_mask(self):
+        """Cells with R_W > 1 and R_eta > 1, refining those whose bands straddle 1."""
+        yes = (self.lo["W"] > 1.0) & (self.lo["eta"] > 1.0)
+        no = (self.hi["W"] <= 1.0) | (self.hi["eta"] <= 1.0)
+        self.refine(*np.nonzero(~yes & ~no))
+        return (self.lo["W"] > 1.0) & (self.lo["eta"] > 1.0)
+
+
+def _finite(R):
+    return np.where(np.isfinite(R), R, -np.inf)
+
+
+def _reference(config: SweepConfig, brs, cache: ReferenceCache):
+    """The short-range side of ``_grid`` at the beta ratios ``brs``: the Otto
+    surface, or the Stirling tables from ``cache``."""
+    spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
+    if config.cycle_kind == "otto":
+        return _otto_surface(config, SHORT_RANGE, spectra, brs)
+    return _stacked([cache.table(config, b, spectra) for b in brs])
+
+
+def _grid(config: SweepConfig, alpha, brs, ref, workers=1) -> _Grid:
+    """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``.
+
+    Otto cells are screened on the surfaces; Stirling tables are exact, one
+    per beta ratio, evaluated on ``workers`` threads.
+    """
+    spectra = _spectra(config, alpha, config.mu_ratio_grid)
+    if config.cycle_kind == "otto":
+        lr = _otto_surface(config, alpha, spectra, brs, where=ref.valid)
+        return _Grid.screened(config, alpha, brs, lr, ref)
+    tables = [None] * brs.size
+
+    def fill(j):
+        tables[j] = _table(config, spectra, brs[j])
+
+    _run(workers, fill, brs.size)
+    return _Grid.exact_tables(config, alpha, brs, _stacked(tables), ref)
+
+
+class _Walk:
+    """One cusp walk over an array of cells, evaluated lazily.
 
     Ratio surfaces diverge like 1/W_sr where the short-range work crosses
     zero at the edge of the engine-valid region; the shoulder cells of such a
-    divergence are not maxima of anything physical.  Cells are walked in
-    order of descending R (a stable sort, so ties go to the smallest index).
-    A candidate ``i`` is exempted as a cusp cell when one of its grid
-    ``neighbors(i)`` fails ``valid(i, j)``, or when ``midpoint_ratio(i, j)``,
-    the ratio re-evaluated at the half-step midpoint toward neighbour ``j``,
-    exceeds ``R[i] + rel_tol * max(|R[i]|, 1)``: ``rel_tol`` is the largest
-    rise a half step may show before the cell counts as a shoulder.
-    Returns (index, cusp indices in descending-R order).
+    divergence are not maxima of anything physical.  Cells are taken in order
+    of descending R, ties to the smallest index, and each candidate is tested
+    by ``_cusp_rounds``.  ``lo`` and ``hi`` bound R (-inf where it is not
+    finite) and equal it where ``exact``; ``needed`` lists the inexact cells
+    that could still be the next candidate, and once they are exact ``take``
+    picks it, every other inexact cell lying strictly below it.
     """
-    order = np.argsort(-R, kind="stable")
-    cusps = []
-    for i in order:
-        i = int(i)
-        if not np.isfinite(R[i]):
-            break
-        nbs = neighbors(i)
-        if not all(valid(i, j) for j in nbs):
-            cusps.append(i)
+
+    def __init__(self, which, lo, hi, exact, key=None):
+        self.which, self.lo, self.hi, self.exact, self.key = which, lo, hi, exact, key
+        self.alive = hi > -np.inf
+        self.cand = None
+        self.cusps = []
+        self.index = None
+        self.failed = False
+
+    def needed(self):
+        if not self.alive.any():
+            return np.zeros(0, dtype=int)
+        top = self.lo[self.alive].max()
+        return np.flatnonzero(self.alive & ~self.exact & (self.hi >= top))
+
+    def take(self):
+        live = np.flatnonzero(self.alive & self.exact)
+        if live.size == 0:
+            self.failed = True
+        else:
+            self.cand = int(live[np.argmax(self.lo[live])])
+
+
+def _cusp_rounds(config: SweepConfig, walks, refine, probes, rel_tol=0.05):
+    """Run ``walks`` to their stable maxima in rounds of one batched evaluation.
+
+    Each round takes the next candidate of every unfinished walk (after
+    ``refine`` has made the cells it needs exact) and its ``probes``: a list
+    of ((alpha, mu_ratio, beta_ratio), is_midpoint), or None when a grid
+    neighbour is known not to be an engine cell.  All probe points of a
+    round are evaluated exactly by one ``_evaluate``.  A candidate is exempted
+    as a cusp cell when a neighbour probe is not finite, or when a midpoint
+    exceeds R + ``rel_tol`` max(|R|, 1): ``rel_tol`` is the largest rise a half
+    step may show before the cell counts as a shoulder.  A walk that runs
+    out of finite cells fails.
+    """
+    active = list(walks)
+    while active:
+        needs = [(w, w.needed()) for w in active if w.cand is None]
+        if any(idx.size for _, idx in needs):
+            refine(needs)
+        for w in active:
+            if w.cand is None:
+                w.take()
+        active = [w for w in active if not w.failed]
+        plans = [(w, probes(w)) for w in active]
+        values = _evaluate(config, [p for _, ps in plans for p, _ in ps or ()])
+        k = 0
+        for w, ps in plans:
+            R = w.lo[w.cand]
+            bound = R + rel_tol * max(abs(R), 1.0)
+            got = values[w.which][k : k + len(ps or ())]
+            k += len(got)
+            if ps is not None and not any(
+                v > bound if is_mid else not v > -math.inf for v, (_, is_mid) in zip(got, ps)
+            ):
+                w.index = w.cand
+            else:
+                w.cusps.append(w.cand)
+                w.alive[w.cand] = False
+                w.cand = None
+        active = [w for w in active if w.index is None]
+
+
+def _evaluate(config: SweepConfig, points):
+    """Exact {"W": R_W, "eta": R_eta} at points (alpha, mu_ratio, beta_ratio),
+    one batched evaluation per alpha."""
+    out = {"W": np.empty(len(points)), "eta": np.empty(len(points))}
+    groups = {}
+    for k, (alpha, _, _) in enumerate(points):
+        groups.setdefault(alpha, []).append(k)
+    for alpha, ks in groups.items():
+        _, R_W, R_eta = _exact_ratios(
+            config, alpha, [points[k][1] for k in ks], [points[k][2] for k in ks])
+        out["W"][ks], out["eta"][ks] = R_W, R_eta
+    return out
+
+
+def _row(config: SweepConfig, alpha, brs, ref) -> list:
+    """``max_ratios`` at each of the beta ratios ``brs`` for one alpha: a
+    ``MaxRatioPoint``, or the ``InsufficientDataError`` it would raise.
+
+    The cusp walks along mu of all columns and both ratios advance together
+    in ``_cusp_rounds``.
+    """
+    grid = _grid(config, alpha, brs, ref)
+    xs = np.asarray(config.mu_ratio_grid, dtype=float)
+    n_valid = np.sum(grid.both, axis=0)
+    row, pairs = [None] * brs.size, []
+    for j in range(brs.size):
+        if n_valid[j] < 3:
+            row[j] = InsufficientDataError(
+                f"only {n_valid[j]} engine-valid grid points at alpha={alpha}, "
+                f"beta_h/beta_c={brs[j]}; need at least 3"
+            )
+        else:
+            pairs.append(tuple(
+                _Walk(k, grid.lo[k][:, j], grid.hi[k][:, j], grid.exact[:, j], key=j)
+                for k in ("W", "eta")))
+
+    def refine(needs):
+        cells = np.unique(np.concatenate([idx * brs.size + w.key for w, idx in needs]))
+        grid.refine(*np.divmod(cells, brs.size))
+
+    def probes(w):
+        i, j = w.cand, w.key
+        nbs = [n for n in (i - 1, i + 1) if 0 <= n < xs.size]
+        if not grid.both[nbs, j].all():
+            return None
+        return [((alpha, 0.5 * (xs[i] + xs[n]), brs[j]), True) for n in nbs]
+
+    _cusp_rounds(config, [w for p in pairs for w in p], refine, probes)
+    for w_W, w_eta in pairs:
+        j = w_W.key
+        if w_W.failed or w_eta.failed:
+            row[j] = InsufficientDataError("no refinement-stable maximum on the grid")
             continue
-        bound = R[i] + rel_tol * max(abs(R[i]), 1.0)
-        if any(midpoint_ratio(i, j) > bound for j in nbs):
-            cusps.append(i)
-            continue
-        return i, cusps
-    raise InsufficientDataError("no refinement-stable maximum on the grid")
+        row[j] = MaxRatioPoint(
+            R_W_max=float(w_W.lo[w_W.index]),
+            R_eta_max=float(w_eta.lo[w_eta.index]),
+            arg_mu_ratio_W=float(xs[w_W.index]),
+            arg_mu_ratio_eta=float(xs[w_eta.index]),
+            excluded=int(xs.size - n_valid[j]),
+            cusp_mu_ratios_W=tuple(float(xs[i]) for i in w_W.cusps),
+            cusp_mu_ratios_eta=tuple(float(xs[i]) for i in w_eta.cusps),
+        )
+    return row
 
 
 def max_ratios(
@@ -297,49 +586,19 @@ def max_ratios(
 
     A cell counts only when both chains are engine-valid.  Cells flagged
     unstable under half-step refinement along mu (divergence shoulders at the
-    engine-validity boundary, see ``_stable_argmax`` with its default
+    engine-validity boundary, see ``_cusp_rounds`` with its default
     ``rel_tol`` of 5%) are exempted from the maxima and listed.  Ties break
-    toward the smallest grid index.  ``cache`` holds the short-range
-    references; the long-range table is evaluated on every call.
+    toward the smallest grid index.  ``cache`` holds the Stirling
+    short-range references.
     """
+    _check_alpha(alpha)
+    _check_beta_ratio(beta_ratio)
     cache = cache if cache is not None else ReferenceCache()
-    lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
-    return _max_point(config, alpha, beta_ratio, lr, sr)
-
-
-def _max_point(config: SweepConfig, alpha, beta_ratio, lr: CycleTable, sr: CycleTable):
-    """``max_ratios`` of the table pair ``lr``, ``sr`` at (alpha, beta ratio)."""
-    valid, R_W, R_eta = _engine_ratios(lr, sr)
-    n_valid = int(np.sum(valid))
-    if n_valid < 3:
-        raise InsufficientDataError(
-            f"only {n_valid} engine-valid grid points at alpha={alpha}, "
-            f"beta_h/beta_c={beta_ratio}; need at least 3"
-        )
-    xs = np.asarray(config.mu_ratio_grid, dtype=float)
-
-    def neighbors(i):
-        return [j for j in (i - 1, i + 1) if 0 <= j < xs.size]
-
-    def stable_argmax(R, which):
-        return _stable_argmax(
-            R,
-            neighbors,
-            lambda i, j: valid[j],
-            lambda i, j: _point_ratio(config, alpha, beta_ratio, 0.5 * (xs[i] + xs[j]), which),
-        )
-
-    i_W, cusps_W = stable_argmax(R_W, "W")
-    i_eta, cusps_eta = stable_argmax(R_eta, "eta")
-    return MaxRatioPoint(
-        R_W_max=float(R_W[i_W]),
-        R_eta_max=float(R_eta[i_eta]),
-        arg_mu_ratio_W=float(xs[i_W]),
-        arg_mu_ratio_eta=float(xs[i_eta]),
-        excluded=int(xs.size - n_valid),
-        cusp_mu_ratios_W=tuple(float(xs[i]) for i in cusps_W),
-        cusp_mu_ratios_eta=tuple(float(xs[i]) for i in cusps_eta),
-    )
+    brs = np.array([beta_ratio], dtype=float)
+    (point,) = _row(config, alpha, brs, _reference(config, brs, cache))
+    if isinstance(point, InsufficientDataError):
+        raise point
+    return point
 
 
 def max_ratio_row(
@@ -354,26 +613,15 @@ def max_ratio_row(
     for b in beta_ratios:
         _check_beta_ratio(b)
     cache = cache if cache is not None else ReferenceCache()
-    sr = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
-    refs = [cache.table(config, b, sr) for b in beta_ratios]
-    return _max_ratio_row(config, alpha, beta_ratios, refs)
+    brs = np.asarray(beta_ratios, dtype=float)
+    row = _row(config, alpha, brs, _reference(config, brs, cache))
+    return [None if isinstance(p, InsufficientDataError) else p for p in row]
 
 
-def _max_ratio_row(config: SweepConfig, alpha, beta_ratios, refs) -> list:
-    lr = _spectra(config, alpha, config.mu_ratio_grid)
-    row = []
-    for b, ref in zip(beta_ratios, refs):
-        try:
-            row.append(_max_point(config, alpha, b, _table(config, lr, b), ref))
-        except InsufficientDataError:
-            row.append(None)
-    return row
-
-
-def _run(config: SweepConfig, fn, n):
-    """Call ``fn(0) .. fn(n - 1)``, on ``config.workers`` threads when above one."""
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+def _run(workers, fn, n):
+    """Call ``fn(0) .. fn(n - 1)``, on ``workers`` threads when above one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fn, range(n)))
     else:
         for i in range(n):
@@ -385,34 +633,21 @@ def enhancement_regions(
 ) -> RegionMap:
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
-    Both chains' spectra and the short-range references, one per beta
-    ratio, are built serially; the workers then evaluate the long-range
-    columns and reduce them.
+    Otto decides the mask on the surfaces and refines the cells whose
+    bands straddle 1; Stirling evaluates one table per beta ratio, on the
+    workers when there are several.
     """
     _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()
-    mu = np.asarray(config.mu_ratio_grid, dtype=float)
-    br = np.asarray(config.beta_ratio_grid, dtype=float)
-    sr = _spectra(config, SHORT_RANGE, mu)
-    refs = [cache.table(config, b, sr) for b in br]
-    lr_spectra = _spectra(config, alpha, mu)
-    mask = np.zeros((mu.size, br.size), dtype=bool)
-    excl = np.zeros(br.size, dtype=int)
-
-    def fill(j):
-        lr = _table(config, lr_spectra, br[j])
-        both, R_W, R_eta = _engine_ratios(lr, refs[j])
-        mask[:, j] = (R_W > 1.0) & (R_eta > 1.0)
-        excl[j] = int(np.sum(~both))
-
-    _run(config, fill, br.size)
+    brs = np.asarray(config.beta_ratio_grid, dtype=float)
+    grid = _grid(config, alpha, brs, _reference(config, brs, cache), workers=config.workers)
     return RegionMap(
-        mu_ratio_grid=mu,
-        beta_ratio_grid=br,
-        mask=mask,
+        mu_ratio_grid=np.asarray(config.mu_ratio_grid, dtype=float),
+        beta_ratio_grid=brs,
+        mask=grid.region_mask(),
         alpha=float(alpha),
         cycle_kind=config.cycle_kind,
-        excluded=int(excl.sum()),
+        excluded=int(np.sum(~grid.both)),
     )
 
 
@@ -422,9 +657,9 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     Each cell holds the ``max_ratios`` value over mu_f/mu_i, whose argmax is
     already kept off divergence shoulders along mu.  The 1/W_sr divergence
     can also run along beta (at beta_c = 5 and mu_f/mu_i = 0, W_sr crosses
-    zero near beta_h/beta_c = 0.449), so the same ``_stable_argmax`` rule, with
-    its default ``rel_tol`` of 5%, is applied along beta: a cell is exempted
-    when a beta neighbour at the same alpha and arg-mu is not engine-valid for
+    zero near beta_h/beta_c = 0.449), so the same cusp rule, with its
+    default ``rel_tol`` of 5%, is applied along beta: a cell is exempted when
+    a beta neighbour at the same alpha and arg-mu is not engine-valid for
     both chains, or when the ratio at the half-step beta midpoint exceeds the
     cell value by more than ``rel_tol``.  Exempted cells are listed in
     ``cusp_cells_W`` / ``cusp_cells_eta``.  No alpha direction is tested:
@@ -432,8 +667,8 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     runs serially after the worker pool, so the result is the same for any
     worker count.  ``coincident`` is True when the work and efficiency argmax
     points agree within one grid cell in both directions.  The short-range
-    spectra and references are built before the pool starts; each alpha row
-    builds its long-range spectra once for all beta ratios.
+    side is built before the pool starts; each alpha row builds its
+    long-range spectra once for all beta ratios.
     """
     cache = cache if cache is not None else ReferenceCache()
     alphas = np.asarray(config.alpha_grid, dtype=float)
@@ -444,44 +679,41 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     mu_W_m = np.full(shape, np.nan)
     mu_eta_m = np.full(shape, np.nan)
 
-    # Built serially, so the workers below only read them.
-    sr = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
-    refs = [cache.table(config, b, sr) for b in brs]
+    # Built serially, so the workers below only read it.
+    ref = _reference(config, brs, cache)
 
     def run_alpha(i):
-        for j, mr in enumerate(_max_ratio_row(config, alphas[i], brs, refs)):
-            if mr is None:
+        for j, mr in enumerate(_row(config, alphas[i], brs, ref)):
+            if isinstance(mr, InsufficientDataError):
                 continue
             R_W_m[i, j] = mr.R_W_max
             R_eta_m[i, j] = mr.R_eta_max
             mu_W_m[i, j] = mr.arg_mu_ratio_W
             mu_eta_m[i, j] = mr.arg_mu_ratio_eta
 
-    _run(config, run_alpha, alphas.size)
+    _run(config.workers, run_alpha, alphas.size)
 
     if not np.isfinite(R_W_m).any() or not np.isfinite(R_eta_m).any():
         raise InsufficientDataError("no engine-valid (alpha, beta ratio) grid points")
 
     nb = brs.size
+    arg_mu = {"W": mu_W_m.ravel(), "eta": mu_eta_m.ravel()}
 
-    def beta_neighbors(c):
-        return [c + d for d in (-1, 1) if 0 <= c % nb + d < nb]
+    def probes(w):
+        i, j = divmod(w.cand, nb)
+        mu = arg_mu[w.which][w.cand]
+        nbs = [j + d for d in (-1, 1) if 0 <= j + d < nb]
+        return ([((alphas[i], mu, brs[n]), False) for n in nbs]
+                + [((alphas[i], mu, 0.5 * (brs[j] + brs[n])), True) for n in nbs])
 
-    def stable_argmax(R, arg_mu, which):
-        def ratio(c, beta_ratio):
-            return _point_ratio(config, alphas[c // nb], beta_ratio, arg_mu.flat[c], which)
-
-        c, cusps = _stable_argmax(
-            R.ravel(),
-            beta_neighbors,
-            lambda c, n: ratio(c, brs[n % nb]) > -math.inf,
-            lambda c, n: ratio(c, 0.5 * (brs[c % nb] + brs[n % nb])),
-        )
-        cells = tuple((float(alphas[n // nb]), float(brs[n % nb])) for n in cusps)
-        return divmod(c, nb), cells
-
-    (iW, jW), cusps_W = stable_argmax(R_W_m, mu_W_m, "W")
-    (iE, jE), cusps_eta = stable_argmax(R_eta_m, mu_eta_m, "eta")
+    walks = [_Walk(k, R.ravel(), R.ravel(), np.ones(R.size, dtype=bool))
+             for k, R in (("W", R_W_m), ("eta", R_eta_m))]
+    _cusp_rounds(config, walks, None, probes)
+    if any(w.failed for w in walks):
+        raise InsufficientDataError("no refinement-stable maximum on the grid")
+    (iW, jW), (iE, jE) = (divmod(w.index, nb) for w in walks)
+    cusps_W, cusps_eta = (
+        tuple((float(alphas[c // nb]), float(brs[c % nb])) for c in w.cusps) for w in walks)
     coincident = abs(iW - iE) <= 1 and abs(jW - jE) <= 1
     return OptimalCondition(
         alpha_star_W=float(alphas[iW]),

@@ -196,6 +196,21 @@ class TestExitCodes:
         code, _ = run(tmp_path, kind, "--alpha", "1.5", "--L", "200", *flag)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--cycle", "otto"],
+        ["sweep", "--cycle", "stirling", "--format", "json"],
+        ["otto", "--sweep-mu"],
+        ["stirling", "--sweep-mu"],
+    ])
+    def test_sweep_workers_not_read(self, tmp_path, argv):
+        # One sweep_mu table takes no worker pool: neither the flag nor the
+        # config key is read.
+        cfg = write_config(tmp_path, {"workers": "2"})
+        for extra in (["--workers", "2"], ["--config", cfg]):
+            code, out = run(tmp_path, *argv, "--alpha", "1.5", *extra, *FAST)
+            assert code == EXIT_CONFIG
+            assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "format", "json"), ("winding", "plots", "1"),
     ])

@@ -14,8 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrkengine import SHORT_RANGE, ChainParams, ReferenceCache, SweepConfig, chain, winding_number
-from lrkengine.cycles import otto_mode_sums, stirling_mode_sums
-from lrkengine.sweep import _spectra, _table
+from lrkengine.cycles import otto_mode_sums, otto_surface, stirling_mode_sums
+from lrkengine.sweep import (
+    _grid,
+    _Grid,
+    _point_table,
+    _reference,
+    _spectra,
+    _stacked,
+    _table,
+    _Walk,
+)
 
 EPS = np.finfo(float).eps
 
@@ -159,3 +168,82 @@ class TestLongRangeTables:
         table = _table(cfg, _spectra(cfg, alpha, mu_ratios), beta_ratio)
         assert np.all(np.abs(table.W - W) <= 1e-11 * scale)
         assert np.all(np.abs(table.Q_h - Q_h) <= 1e-11 * scale)
+
+
+beta_grids = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8).map(sorted)
+alphas_or_sr = st.one_of(alphas, st.just(SHORT_RANGE))
+
+
+def exact_grid(cfg, alpha, brs):
+    """The ``_Grid`` of per-mode tables, one per beta ratio."""
+    lr, sr = (_stacked([_table(cfg, _spectra(cfg, a, cfg.mu_ratio_grid), b) for b in brs])
+              for a in (alpha, SHORT_RANGE))
+    return _Grid.exact_tables(cfg, alpha, brs, lr, sr)
+
+
+class TestOttoSurface:
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 256).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           mu_i=st.floats(0.1, 3.0), beta_c=st.floats(0.05, 5.0), mu_ratios=mu_grids,
+           beta_ratios=beta_grids)
+    def test_within_bound(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios):
+        cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
+        eps_i, eps_f, cold = _spectra(cfg, alpha, mu_ratios)
+        beta_hs = np.asarray(beta_ratios) * beta_c
+        Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c, cold=cold)
+        for j, beta_h in enumerate(beta_hs):
+            for got, want in zip((Q_h, Q_c, W), otto_mode_sums(eps_i, eps_f, beta_h, beta_c)):
+                assert np.all(np.abs(got[:, j] - want) <= tol[:, j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 256).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           mu_i=st.floats(0.1, 3.0), beta_c=st.floats(0.05, 5.0),
+           mu_ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24).map(sorted),
+           beta_ratios=beta_grids)
+    @example(L=64, alpha=12.0, mu_i=2.0, beta_c=5.0, beta_ratios=[0.1, 0.3, 0.5],
+             mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0])
+    @example(L=64, alpha=12.0, mu_i=2.0, beta_c=0.05, beta_ratios=[0.1, 0.3, 0.5],
+             mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0])
+    def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios):
+        # Engine validity, the R > 1 mask and each column's argmax cell
+        # decided on the surfaces equal those of the per-mode tables.  Near
+        # mu_f = mu_i, W is within the surface bound of 0 and R_W and R_eta
+        # straddle 1, so the examples exercise every refinement.
+        cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
+        brs = np.asarray(beta_ratios)
+        screened = _grid(cfg, alpha, brs, _reference(cfg, brs, ReferenceCache()))
+        exact = exact_grid(cfg, alpha, brs)
+        assert np.array_equal(screened.both, exact.both)
+        assert np.array_equal(screened.region_mask(), exact.region_mask())
+        for k in ("W", "eta"):
+            for j in range(brs.size):
+                walk = _Walk(k, screened.lo[k][:, j], screened.hi[k][:, j], screened.exact[:, j])
+                need = walk.needed()
+                screened.refine(need, np.full(need.size, j))
+                walk.take()
+                R = exact.lo[k][:, j]
+                if np.isfinite(R).any():
+                    assert walk.cand == np.argmax(R)
+                    assert walk.lo[walk.cand] == R[walk.cand]
+                else:
+                    assert walk.failed
+
+
+class TestPointRows:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=kinds, L=st.integers(2, 256).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           beta_c=st.sampled_from([5.0, 0.05]), mu_ratios=mu_grids, beta_ratios=beta_grids,
+           data=st.data())
+    def test_rows_bitwise(self, kind, L, alpha, beta_c, mu_ratios, beta_ratios, data):
+        # Rows gathered at (mu, beta) pairs, as the refinements and the cusp
+        # probes evaluate them, equal the table rows bitwise.
+        cfg = sweep_config(kind, L, 2.0, beta_c, mu_ratios)
+        n = data.draw(st.integers(1, 12))
+        i = data.draw(st.lists(st.integers(0, len(mu_ratios) - 1), min_size=n, max_size=n))
+        j = data.draw(st.lists(st.integers(0, len(beta_ratios) - 1), min_size=n, max_size=n))
+        got = _point_table(cfg, alpha, np.asarray(mu_ratios)[i], np.asarray(beta_ratios)[j])
+        spectra = _spectra(cfg, alpha, mu_ratios)
+        for k, (a, b) in enumerate(zip(i, j)):
+            want = _table(cfg, spectra, beta_ratios[b])
+            for f in ("W", "Q_h", "eta", "engine_valid"):
+                assert np.array_equal(getattr(got, f)[k], getattr(want, f)[a], equal_nan=True)

@@ -13,6 +13,8 @@ from lrkengine import (
     CycleSpec,
     InsufficientDataError,
     InvalidParameterError,
+    MaxRatioPoint,
+    OptimalCondition,
     ReferenceCache,
     SweepConfig,
     chain,
@@ -24,6 +26,15 @@ from lrkengine import (
     ratio_diagnostics,
     stirling_cycle,
     sweep_mu,
+)
+from lrkengine.cycles import (
+    otto_cold_terms,
+    otto_engine_valid,
+    otto_mode_sums,
+    ratio_arrays,
+    stirling_cold_terms,
+    stirling_engine_valid,
+    stirling_mode_sums,
 )
 
 BASE = ChainParams(L=2000, J=1.0, Delta=1.0, mu=0.0, alpha=2.0)
@@ -260,3 +271,209 @@ class TestOptimalCondition:
         assert (1.85, 0.44) in oc.cusp_cells_W
         smooth = optimal_condition(replace(cfg, cycle_kind="stirling"))
         assert smooth.cusp_cells_W == () and smooth.cusp_cells_eta == ()
+
+
+# ---------------------------------------------------------------------------
+# Serial oracle: the one-cell-at-a-time cusp walk with one-row probes, kept
+# literally as it was before the walks were batched into rounds.
+
+
+def oracle_spectra(config, alpha, mu_ratios):
+    base = replace(config.base, alpha=float(alpha))
+    eps_i = chain.spectrum_energies(base, config.mu_i)
+    eps_f = chain.spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
+    cold_terms = otto_cold_terms if config.cycle_kind == "otto" else stirling_cold_terms
+    return eps_i, eps_f, cold_terms(eps_i, eps_f, config.beta_c)
+
+
+def oracle_table(config, spectra, beta_ratio):
+    eps_i, eps_f, cold = spectra
+    beta_c = config.beta_c
+    beta_h = beta_ratio * beta_c
+    if config.cycle_kind == "otto":
+        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        valid = otto_engine_valid(W, Q_h, Q_c)
+    else:
+        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        valid = stirling_engine_valid(W, Q_h)
+    eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
+    return W, Q_h, eta, valid
+
+
+def oracle_engine_ratios(lr, sr):
+    both = lr[3] & sr[3]
+    R_W, R_eta, _, _ = ratio_arrays(lr[0], lr[1], lr[2], sr[0], sr[1], sr[2])
+    return both, np.where(both, R_W, -np.inf), np.where(both, R_eta, -np.inf)
+
+
+def oracle_point_ratio(config, alpha, beta_ratio, mu_ratio, which):
+    lr = oracle_table(config, oracle_spectra(config, alpha, (mu_ratio,)), beta_ratio)
+    sr = oracle_table(config, oracle_spectra(config, SHORT_RANGE, (mu_ratio,)), beta_ratio)
+    _, R_W, R_eta = oracle_engine_ratios(lr, sr)
+    return float((R_W if which == "W" else R_eta)[0])
+
+
+def oracle_stable_argmax(R, neighbors, valid, midpoint_ratio, rel_tol=0.05):
+    order = np.argsort(-R, kind="stable")
+    cusps = []
+    for i in order:
+        i = int(i)
+        if not np.isfinite(R[i]):
+            break
+        nbs = neighbors(i)
+        if not all(valid(i, j) for j in nbs):
+            cusps.append(i)
+            continue
+        bound = R[i] + rel_tol * max(abs(R[i]), 1.0)
+        if any(midpoint_ratio(i, j) > bound for j in nbs):
+            cusps.append(i)
+            continue
+        return i, cusps
+    raise InsufficientDataError("no refinement-stable maximum on the grid")
+
+
+def oracle_max_ratios(config, alpha, beta_ratio):
+    lr = oracle_table(config, oracle_spectra(config, alpha, config.mu_ratio_grid), beta_ratio)
+    sr = oracle_table(config, oracle_spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
+    valid, R_W, R_eta = oracle_engine_ratios(lr, sr)
+    n_valid = int(np.sum(valid))
+    if n_valid < 3:
+        raise InsufficientDataError(f"only {n_valid} engine-valid grid points")
+    xs = np.asarray(config.mu_ratio_grid, dtype=float)
+
+    def neighbors(i):
+        return [j for j in (i - 1, i + 1) if 0 <= j < xs.size]
+
+    def stable_argmax(R, which):
+        return oracle_stable_argmax(
+            R,
+            neighbors,
+            lambda i, j: valid[j],
+            lambda i, j: oracle_point_ratio(config, alpha, beta_ratio, 0.5 * (xs[i] + xs[j]), which),
+        )
+
+    i_W, cusps_W = stable_argmax(R_W, "W")
+    i_eta, cusps_eta = stable_argmax(R_eta, "eta")
+    return MaxRatioPoint(
+        R_W_max=float(R_W[i_W]),
+        R_eta_max=float(R_eta[i_eta]),
+        arg_mu_ratio_W=float(xs[i_W]),
+        arg_mu_ratio_eta=float(xs[i_eta]),
+        excluded=int(xs.size - n_valid),
+        cusp_mu_ratios_W=tuple(float(xs[i]) for i in cusps_W),
+        cusp_mu_ratios_eta=tuple(float(xs[i]) for i in cusps_eta),
+    )
+
+
+def oracle_max_ratio_row(config, alpha, beta_ratios):
+    row = []
+    for b in beta_ratios:
+        try:
+            row.append(oracle_max_ratios(config, alpha, b))
+        except InsufficientDataError:
+            row.append(None)
+    return row
+
+
+def oracle_optimal_condition(config):
+    alphas = np.asarray(config.alpha_grid, dtype=float)
+    brs = np.asarray(config.beta_ratio_grid, dtype=float)
+    shape = (alphas.size, brs.size)
+    R_W_m = np.full(shape, -np.inf)
+    R_eta_m = np.full(shape, -np.inf)
+    mu_W_m = np.full(shape, np.nan)
+    mu_eta_m = np.full(shape, np.nan)
+    for i in range(alphas.size):
+        for j, mr in enumerate(oracle_max_ratio_row(config, alphas[i], brs)):
+            if mr is None:
+                continue
+            R_W_m[i, j] = mr.R_W_max
+            R_eta_m[i, j] = mr.R_eta_max
+            mu_W_m[i, j] = mr.arg_mu_ratio_W
+            mu_eta_m[i, j] = mr.arg_mu_ratio_eta
+    if not np.isfinite(R_W_m).any() or not np.isfinite(R_eta_m).any():
+        raise InsufficientDataError("no engine-valid (alpha, beta ratio) grid points")
+
+    nb = brs.size
+
+    def beta_neighbors(c):
+        return [c + d for d in (-1, 1) if 0 <= c % nb + d < nb]
+
+    def stable_argmax(R, arg_mu, which):
+        def ratio(c, beta_ratio):
+            return oracle_point_ratio(config, alphas[c // nb], beta_ratio, arg_mu.flat[c], which)
+
+        c, cusps = oracle_stable_argmax(
+            R.ravel(),
+            beta_neighbors,
+            lambda c, n: ratio(c, brs[n % nb]) > -math.inf,
+            lambda c, n: ratio(c, 0.5 * (brs[c % nb] + brs[n % nb])),
+        )
+        cells = tuple((float(alphas[n // nb]), float(brs[n % nb])) for n in cusps)
+        return divmod(c, nb), cells
+
+    (iW, jW), cusps_W = stable_argmax(R_W_m, mu_W_m, "W")
+    (iE, jE), cusps_eta = stable_argmax(R_eta_m, mu_eta_m, "eta")
+    return OptimalCondition(
+        alpha_star_W=float(alphas[iW]),
+        beta_ratio_star_W=float(brs[jW]),
+        alpha_star_eta=float(alphas[iE]),
+        beta_ratio_star_eta=float(brs[jE]),
+        R_W_max=float(R_W_m[iW, jW]),
+        R_eta_max=float(R_eta_m[iE, jE]),
+        coincident=abs(iW - iE) <= 1 and abs(jW - jE) <= 1,
+        cusp_cells_W=cusps_W,
+        cusp_cells_eta=cusps_eta,
+    )
+
+
+def random_grid(kind, beta_c, seed):
+    """A small random sweep grid; seed 0 is a cut of the beta-cusp grid of
+    ``test_beta_cusp_cells_exempted`` at L = 2000."""
+    if seed == 0:
+        return config(kind, beta_c, alpha_grid=(1.3, 1.85),
+                      beta_ratio_grid=tuple(np.linspace(0.3, 0.5, 21)))
+    rng = np.random.default_rng([seed, int(beta_c * 100), kind == "otto"])
+    return SweepConfig(
+        cycle_kind=kind,
+        base=ChainParams(L=2 * int(rng.integers(20, 300)), alpha=2.0),
+        mu_i=float(rng.uniform(0.5, 3.0)),
+        mu_ratio_grid=tuple(np.sort(rng.uniform(0.0, 1.0, int(rng.integers(5, 40))))),
+        alpha_grid=tuple(np.sort(rng.uniform(1.025, 6.0, 3))),
+        beta_c=beta_c,
+        beta_ratio_grid=tuple(np.sort(rng.uniform(0.02, 0.98, int(rng.integers(3, 12))))),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientDataError:
+        return InsufficientDataError
+
+
+class TestSerialOracle:
+    """The batched cusp rounds and the screened Otto surfaces against the
+    serial oracle: every field equal, floats bitwise, cusp tuples included,
+    for any worker count."""
+
+    @pytest.mark.parametrize("kind, beta_c, seed", [
+        ("otto", 5.0, 0),
+        *[(kind, beta_c, seed) for kind in ("otto", "stirling") for beta_c in (5.0, 0.05)
+          for seed in (1, 2, 3, 4)],
+    ])
+    def test_same_results(self, kind, beta_c, seed):
+        cfg = random_grid(kind, beta_c, seed)
+        betas = list(cfg.beta_ratio_grid)
+        # At SHORT_RANGE every R is 1: the argmax is the first engine cell.
+        for alpha in (cfg.alpha_grid[1], SHORT_RANGE):
+            want_row = oracle_max_ratio_row(cfg, alpha, betas)
+            assert max_ratio_row(cfg, alpha, betas) == want_row
+            for b, want in zip(betas, want_row):
+                assert outcome(max_ratios, cfg, alpha, b) == (want or InsufficientDataError)
+        want_row = oracle_max_ratio_row(cfg, cfg.alpha_grid[1], betas)
+        want = outcome(oracle_optimal_condition, cfg)
+        for workers in (1, 2, 3):
+            assert outcome(optimal_condition, replace(cfg, workers=workers)) == want
+        if seed == 0:
+            assert want.cusp_cells_W and any(p and p.cusp_mu_ratios_W for p in want_row)
