@@ -172,7 +172,8 @@ def _resolve(args, subparser):
             if resolved[key] is not None:
                 continue  # explicit flag wins
             resolved[key] = _file_value(actions[key], key, raw)
-    unread = [k for k in _unread_keys(args.subcommand, resolved) if resolved.get(k) is not None]
+    unread_keys = _unread_keys(args.subcommand, resolved)
+    unread = [k for k in unread_keys if resolved.get(k) is not None]
     if unread:
         flags = ", ".join("--" + k.replace("_", "-") for k in unread)
         raise ConfigError(f"this run does not read {flags}")
@@ -180,7 +181,7 @@ def _resolve(args, subparser):
         if key in resolved and resolved[key] is None:
             resolved[key] = val
     env_workers = os.environ.get("LRK_WORKERS")
-    if env_workers and "workers" in resolved:
+    if env_workers and "workers" in resolved and "workers" not in unread_keys:
         try:
             resolved["workers"] = int(env_workers)
         except ValueError as exc:
@@ -197,7 +198,7 @@ _FIGURE_UNREAD = {
     4: ("beta_c", "workers"),
     5: ("beta_c", "mu_steps", "workers"),
     6: ("beta_ratio", "workers"),
-    7: ("beta_c", "beta_ratio", "dense"),
+    7: ("beta_c", "beta_ratio", "workers", "dense"),
     8: ("beta_c", "workers"),
     9: ("beta_c", "mu_steps", "workers"),
     10: ("beta_ratio", "workers"),
@@ -208,11 +209,14 @@ def _unread_keys(subcommand, res):
     """Keys of flags the subcommand declares but this run would ignore.
 
     One ``sweep_mu`` table takes no worker pool, so ``sweep`` and
-    ``--sweep-mu`` runs do not read ``workers``.
+    ``--sweep-mu`` runs do not read ``workers``; nor do Otto region maps,
+    which are decided on one surface per chain.
     """
     if subcommand == "reproduce-figure":
         return _FIGURE_UNREAD.get(res["figure"], ())
     if subcommand == "sweep":
+        return ("workers",)
+    if subcommand == "regions" and (res.get("cycle") or _DEFAULTS["cycle"]) == "otto":
         return ("workers",)
     if subcommand in CYCLE_KINDS:
         if res.get("sweep_mu_flag"):

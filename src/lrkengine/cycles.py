@@ -226,6 +226,64 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
     return Q_I, Q_II, Q_III, Q_IV, W, Q_h
 
 
+#: Elements of each work buffer of ``stirling_surface``: three buffers of 128 kB,
+#: which stay in a core's L2 cache.
+_SURFACE_BLOCK = 1 << 14
+
+
+def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
+    """Stirling W and Q_h on the grid of ``eps_f`` rows x ``beta_hs``, each cell
+    bitwise the value of ``stirling_mode_sums`` at that row and beta_h.
+
+    ``eps_f`` has shape (n_mu, nk) and ``cold`` is ``stirling_cold_terms`` of it;
+    W and Q_h have shape (n_mu, n_beta).  For each beta_h the eps_i-only terms
+    (t_hi, its ln cosh, eps_i t_hi and Q_IV) are built once.  The eps_f rows
+    then pass in blocks of ``_SURFACE_BLOCK // nk`` rows through three buffers
+    allocated once per call, by the elementwise operations of
+    ``stirling_mode_sums`` (ln cosh as in ``thermo.lncosh``) in the same order
+    and one sum per row, so no block allocates a temporary of table size.
+    Q_II, which neither W nor Q_h uses, is not formed.
+    """
+    eps_i = np.asarray(eps_i, dtype=float)
+    eps_f = np.asarray(eps_f, dtype=float)
+    t_ci, _, w_c, _ = stirling_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
+    beta_hs = np.asarray(beta_hs, dtype=float)
+    n_mu, nk = eps_f.shape
+    W = np.empty((n_mu, beta_hs.size))
+    Q_h = np.empty_like(W)
+    rows = max(1, _SURFACE_BLOCK // nk)
+    x, t, w = (np.empty((min(rows, n_mu), nk)) for _ in range(3))
+    ln2 = math.log(2.0)
+    for j, beta_h in enumerate(beta_hs):
+        h, g = 0.5 * beta_h, 2.0 / beta_h
+        t_hi = np.tanh(h * eps_i)
+        lc_i = lncosh(h * eps_i)
+        e_t_hi = eps_i * t_hi
+        Q_IV = np.sum(eps_i * (t_ci - t_hi), axis=-1)
+        for r in range(0, n_mu, rows):
+            f = eps_f[r : r + rows]
+            m = f.shape[0]
+            xb, tb, wb = x[:m], t[:m], w[:m]
+            np.multiply(h, f, out=xb)
+            np.tanh(xb, out=tb)  # t_hf
+            np.abs(xb, out=xb)
+            np.multiply(-2.0, xb, out=wb)
+            np.exp(wb, out=wb)
+            np.log1p(wb, out=wb)
+            np.add(xb, wb, out=wb)
+            np.subtract(wb, ln2, out=wb)  # ln cosh(beta_h eps_f / 2)
+            np.subtract(wb, lc_i, out=wb)
+            np.multiply(g, wb, out=wb)  # w_h
+            np.add(wb, w_c[r : r + m], out=xb)
+            np.add.reduce(xb, axis=-1, out=W[r : r + m, j])
+            np.multiply(f, tb, out=tb)
+            np.subtract(tb, e_t_hi, out=tb)
+            np.subtract(wb, tb, out=tb)
+            q = np.add.reduce(tb, axis=-1, out=Q_h[r : r + m, j])
+            np.add(q, Q_IV, out=q)
+    return W, Q_h
+
+
 def otto_engine_valid(W, Q_h, Q_c):
     """Otto engine test W > 0 and Q_h > -Q_c > 0, on scalars or elementwise."""
     return (W > 0.0) & (Q_h > -Q_c) & (-Q_c > 0.0)

@@ -8,8 +8,8 @@ against its short-range twin, which does not depend on alpha.  Ratios follow
 ``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
 when both chains are engine-valid.
 
-``sweep_mu`` evaluates one per-mode table per chain, the short-range one
-shared through a ``ReferenceCache``.  The grid sweeps, ``max_ratio_row``,
+``sweep_mu`` evaluates one table per chain, the short-range one shared
+through a ``ReferenceCache``.  The grid sweeps, ``max_ratio_row``,
 ``optimal_condition`` and ``enhancement_regions``, build each chain's
 spectra on the mu grid once per alpha and decide every cell in one step,
 ``_Grid``:
@@ -19,8 +19,9 @@ spectra on the mu grid once per alpha and decide every cell in one step,
   cell's engine validity, its R > 1 tests and its argmax candidacy are read
   off the surface where they lie beyond the bound; every other cell is
   recomputed from per-mode sums, so each decision equals the tables'.
-* Stirling evaluates its per-mode tables, one per beta ratio, and feeds
-  them through the same step with a bound of 0.
+* Stirling evaluates each chain on the whole grid with
+  ``cycles.stirling_surface``, whose cells equal the per-mode sums bitwise,
+  and feeds them through the same step with a bound of 0.
 
 Cells are recomputed from one-row spectra gathered into batches of at most
 half a table's rows, each row equal bitwise to the table's.  The cusp walks
@@ -44,6 +45,7 @@ from .cycles import (
     stirling_cold_terms,
     stirling_engine_valid,
     stirling_mode_sums,
+    stirling_surface,
 )
 
 CYCLE_KINDS = ("otto", "stirling")
@@ -176,30 +178,29 @@ class CycleTable:
 class ReferenceCache:
     """Store of short-range reference tables, counting actual evaluations.
 
-    A reference depends on the sweep's chain, mu grid and baths but not on
-    alpha, so sharing the cache across alphas computes each (mu grid, baths)
-    reference exactly once.  Long-range tables are never stored: no sweep
-    reads the same (alpha, beta ratio) table twice.
+    A reference depends on the sweep's chain, mu grid, beta_c and beta ratios
+    but not on alpha, so sharing the cache across alphas computes each
+    reference exactly once: one table per beta ratio for ``sweep_mu``, and
+    one Stirling table per beta grid for the grid sweeps.  Long-range tables
+    are never stored: no sweep reads the same (alpha, beta ratio) table twice.
     """
 
     def __init__(self):
         self._store: dict = {}
         self.evaluations = 0
 
-    def table(self, config: SweepConfig, beta_ratio: float, spectra=None) -> CycleTable:
-        """The reference at ``beta_ratio``; on a miss it is evaluated from
-        ``spectra``, the short-range ``_spectra`` of ``config``'s mu grid,
-        built here when not given."""
+    def table(self, config: SweepConfig, beta_ratio) -> CycleTable:
+        """The reference at ``beta_ratio``, a scalar or (Stirling) a 1-D array
+        of beta ratios, as ``_table`` takes it."""
         base = config.base
         key = (
             config.cycle_kind, base.L, base.J, base.Delta, config.mu_i,
-            tuple(config.mu_ratio_grid), beta_ratio * config.beta_c, config.beta_c,
+            tuple(config.mu_ratio_grid), config.beta_c,
+            np.shape(beta_ratio), tuple(np.ravel(beta_ratio).tolist()),
         )
         hit = self._store.get(key)
         if hit is None:
-            if spectra is None:
-                spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
-            hit = _table(config, spectra, beta_ratio)
+            hit = _table(config, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
             self._store[key] = hit
             self.evaluations += 1
         return hit
@@ -215,11 +216,14 @@ def _spectra(config: SweepConfig, alpha, mu_ratios):
     return eps_i, eps_f, cold_terms(eps_i, eps_f, config.beta_c)
 
 
-def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
+def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
     """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c.
 
     ``beta_ratio`` may be a column of one value per spectrum row; each row
-    is then bitwise the row of the table at its own beta ratio.
+    is then bitwise the row of the table at its own beta ratio.  Stirling
+    also takes a 1-D array of beta ratios, for a column per beta ratio.  Its
+    scalar and 1-D cases come from ``stirling_surface``, bitwise the per-mode
+    sums, with each of ``workers`` threads taking a slice of the columns.
     """
     eps_i, eps_f, cold = spectra
     beta_c = config.beta_c
@@ -228,7 +232,14 @@ def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
         Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        if np.ndim(beta_h) == 2:
+            _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        else:
+            parts = np.array_split(np.atleast_1d(beta_h), workers)
+            surfaces = _run(workers, lambda s: stirling_surface(
+                eps_i, eps_f, parts[s], beta_c, cold=cold), workers)
+            shape = eps_f.shape[:-1] + np.shape(beta_h)
+            W, Q_h = (np.concatenate(c, axis=1).reshape(shape) for c in zip(*surfaces))
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
@@ -338,12 +349,6 @@ def _otto_surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surf
     return _Surface(W=W, Q_h=Q_h, r=r, sure=sure, valid=valid)
 
 
-def _stacked(tables) -> CycleTable:
-    """One table per beta ratio as one table with a column per beta ratio."""
-    return CycleTable(*(np.stack([getattr(t, f) for t in tables], axis=1)
-                        for f in ("W", "Q_h", "eta", "engine_valid")))
-
-
 class _Grid:
     """The decisions of one alpha against the short range on the (mu, beta) grid.
 
@@ -409,30 +414,24 @@ def _finite(R):
 
 def _reference(config: SweepConfig, brs, cache: ReferenceCache):
     """The short-range side of ``_grid`` at the beta ratios ``brs``: the Otto
-    surface, or the Stirling tables from ``cache``."""
-    spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
+    surface, or the Stirling table from ``cache``."""
     if config.cycle_kind == "otto":
+        spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
         return _otto_surface(config, SHORT_RANGE, spectra, brs)
-    return _stacked([cache.table(config, b, spectra) for b in brs])
+    return cache.table(config, brs)
 
 
 def _grid(config: SweepConfig, alpha, brs, ref, workers=1) -> _Grid:
     """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``.
 
-    Otto cells are screened on the surfaces; Stirling tables are exact, one
-    per beta ratio, evaluated on ``workers`` threads.
+    Otto cells are screened on the surfaces; the Stirling table is exact,
+    its beta columns split among ``workers`` threads.
     """
     spectra = _spectra(config, alpha, config.mu_ratio_grid)
     if config.cycle_kind == "otto":
         lr = _otto_surface(config, alpha, spectra, brs, where=ref.valid)
         return _Grid.screened(config, alpha, brs, lr, ref)
-    tables = [None] * brs.size
-
-    def fill(j):
-        tables[j] = _table(config, spectra, brs[j])
-
-    _run(workers, fill, brs.size)
-    return _Grid.exact_tables(config, alpha, brs, _stacked(tables), ref)
+    return _Grid.exact_tables(config, alpha, brs, _table(config, spectra, brs, workers), ref)
 
 
 class _Walk:
@@ -619,13 +618,11 @@ def max_ratio_row(
 
 
 def _run(workers, fn, n):
-    """Call ``fn(0) .. fn(n - 1)``, on ``workers`` threads when above one."""
+    """``[fn(0), .., fn(n - 1)]``, called on ``workers`` threads when above one."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, range(n)))
-    else:
-        for i in range(n):
-            fn(i)
+            return list(pool.map(fn, range(n)))
+    return [fn(i) for i in range(n)]
 
 
 def enhancement_regions(
@@ -634,8 +631,8 @@ def enhancement_regions(
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
     Otto decides the mask on the surfaces and refines the cells whose
-    bands straddle 1; Stirling evaluates one table per beta ratio, on the
-    workers when there are several.
+    bands straddle 1; Stirling evaluates its surface with each worker taking
+    a slice of the beta ratios.
     """
     _check_alpha(alpha)
     cache = cache if cache is not None else ReferenceCache()

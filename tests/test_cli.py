@@ -175,6 +175,7 @@ class TestExitCodes:
         *[(n, ["--beta-c", "1"]) for n in (4, 5, 7, 8, 9)],
         *[(n, ["--workers", "2"]) for n in (4, 5, 6, 8, 9, 10)],
         (7, ["--dense"]),
+        (7, ["--workers", "2"]),
     ])
     def test_figure_flag_not_read(self, tmp_path, figure, flag):
         code, out = run(tmp_path, "reproduce-figure", str(figure), *flag)
@@ -201,15 +202,24 @@ class TestExitCodes:
         ["sweep", "--cycle", "stirling", "--format", "json"],
         ["otto", "--sweep-mu"],
         ["stirling", "--sweep-mu"],
+        ["regions", "--cycle", "otto"],
+        ["regions"],
     ])
     def test_sweep_workers_not_read(self, tmp_path, argv):
-        # One sweep_mu table takes no worker pool: neither the flag nor the
-        # config key is read.
+        # One sweep_mu table, and an Otto region map decided on one surface
+        # per chain, take no worker pool: neither the flag nor the config
+        # key is read.
         cfg = write_config(tmp_path, {"workers": "2"})
         for extra in (["--workers", "2"], ["--config", cfg]):
             code, out = run(tmp_path, *argv, "--alpha", "1.5", *extra, *FAST)
             assert code == EXIT_CONFIG
             assert not out.exists() or not any(out.iterdir())
+
+    def test_stirling_regions_reads_workers(self, tmp_path):
+        code, out = run(tmp_path, "regions", "--cycle", "stirling", "--alpha", "1.5",
+                        "--workers", "2", *FAST)
+        assert code == EXIT_OK
+        assert json.loads((out / "run-manifest.json").read_text())["inputs"]["workers"] == 2
 
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "format", "json"), ("winding", "plots", "1"),
@@ -245,10 +255,23 @@ class TestConfigFile:
 
     def test_env_workers_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRK_WORKERS", "3")
-        code, out = run(tmp_path, "sweep", "--cycle", "otto", "--alpha", "1.05", *FAST)
+        code, out = run(tmp_path, "optimal", "--cycle", "otto", "--L", "20", "--mu-steps", "11")
         assert code == EXIT_OK
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert manifest["inputs"]["workers"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--cycle", "otto"],
+        ["regions", "--cycle", "otto"],
+    ])
+    def test_env_workers_only_where_read(self, tmp_path, monkeypatch, argv):
+        # A run that does not read the worker count records the default,
+        # not LRK_WORKERS.
+        monkeypatch.setenv("LRK_WORKERS", "3")
+        code, out = run(tmp_path, *argv, "--alpha", "1.05", *FAST)
+        assert code == EXIT_OK
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["inputs"]["workers"] == 1
 
 
 class TestManifest:

@@ -7,21 +7,32 @@ must stay bitwise equal to the direct formulas.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lrkengine import SHORT_RANGE, ChainParams, ReferenceCache, SweepConfig, chain, winding_number
-from lrkengine.cycles import otto_mode_sums, otto_surface, stirling_mode_sums
+from lrkengine import (
+    SHORT_RANGE,
+    ChainParams,
+    ReferenceCache,
+    SweepConfig,
+    chain,
+    cycles,
+    enhancement_regions,
+    max_ratio_row,
+    winding_number,
+)
+from lrkengine.cycles import otto_mode_sums, otto_surface, stirling_mode_sums, stirling_surface
 from lrkengine.sweep import (
+    CycleTable,
     _grid,
     _Grid,
     _point_table,
     _reference,
     _spectra,
-    _stacked,
     _table,
     _Walk,
 )
@@ -174,10 +185,16 @@ beta_grids = st.lists(st.floats(0.01, 0.99), min_size=1, max_size=8).map(sorted)
 alphas_or_sr = st.one_of(alphas, st.just(SHORT_RANGE))
 
 
+def stacked_tables(cfg, alpha, brs):
+    """One per-mode table per beta ratio, stacked into a column per beta ratio."""
+    tables = [_table(cfg, _spectra(cfg, alpha, cfg.mu_ratio_grid), b) for b in brs]
+    return CycleTable(*(np.stack([getattr(t, f) for t in tables], axis=1)
+                        for f in ("W", "Q_h", "eta", "engine_valid")))
+
+
 def exact_grid(cfg, alpha, brs):
     """The ``_Grid`` of per-mode tables, one per beta ratio."""
-    lr, sr = (_stacked([_table(cfg, _spectra(cfg, a, cfg.mu_ratio_grid), b) for b in brs])
-              for a in (alpha, SHORT_RANGE))
+    lr, sr = (stacked_tables(cfg, a, brs) for a in (alpha, SHORT_RANGE))
     return _Grid.exact_tables(cfg, alpha, brs, lr, sr)
 
 
@@ -247,3 +264,78 @@ class TestPointRows:
             want = _table(cfg, spectra, beta_ratios[b])
             for f in ("W", "Q_h", "eta", "engine_valid"):
                 assert np.array_equal(getattr(got, f)[k], getattr(want, f)[a], equal_nan=True)
+
+
+def block_rows(L):
+    """Rows per block of ``stirling_surface``: at least 8 for L <= 4096."""
+    return max(1, cycles._SURFACE_BLOCK // (L // 2))
+
+
+class TestStirlingSurface:
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(2, 2048).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           beta_c=st.floats(0.05, 5.0), beta_ratios=beta_grids,
+           rows=st.sampled_from(["below", "equal", "not a multiple"]),
+           seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 3))
+    @example(L=4, alpha=SHORT_RANGE, beta_c=5.0, beta_ratios=[0.5], rows="not a multiple",
+             seed=0, workers=2)
+    @example(L=4096, alpha=1.05, beta_c=0.05, beta_ratios=[0.01, 0.99], rows="equal",
+             seed=1, workers=3)
+    def test_bitwise_mode_sums(self, L, alpha, beta_c, beta_ratios, rows, seed, workers):
+        # Every W and Q_h cell equals its row of stirling_mode_sums bitwise,
+        # whether the mu rows fill less than one block, exactly one, or end
+        # in a partial block; the sweep tables split the beta columns among
+        # the workers and keep the bits.
+        b = block_rows(L)
+        rng = np.random.default_rng(seed)
+        n_mu = {"below": int(rng.integers(1, b)), "equal": b,
+                "not a multiple": b * int(rng.integers(1, 3)) + int(rng.integers(1, b))}[rows]
+        mu_ratios = np.sort(rng.uniform(0.0, 1.0, n_mu))
+        mu_ratios[-1] = 1.0  # the row where W is exactly 0
+        cfg = sweep_config("stirling", L, 2.0, beta_c, mu_ratios)
+        spectra = _spectra(cfg, alpha, mu_ratios)
+        eps_i, eps_f, cold = spectra
+        brs = np.asarray(beta_ratios)
+        W, Q_h = stirling_surface(eps_i, eps_f, brs * beta_c, beta_c, cold=cold)
+        table = _table(cfg, spectra, brs, workers)
+        for j, beta_h in enumerate(brs * beta_c):
+            want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)[4:]
+            for got in (W, table.W):
+                assert np.array_equal(got[:, j], want_W)
+            for got in (Q_h, table.Q_h):
+                assert np.array_equal(got[:, j], want_Q_h)
+        assert np.array_equal(stirling_surface(eps_i, eps_f, brs * beta_c, beta_c)[0], W)
+
+    @settings(max_examples=25, deadline=None)
+    @given(L=st.integers(2, 128).map(lambda n: 2 * n), alpha=alphas,
+           beta_c=st.sampled_from([5.0, 0.05, 1.0]),
+           mu_ratios=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=24).map(sorted),
+           beta_ratios=beta_grids)
+    def test_regions_any_workers(self, L, alpha, beta_c, mu_ratios, beta_ratios):
+        # Each worker evaluates a slice of the beta columns; the map is the same.
+        cfg = SweepConfig(cycle_kind="stirling", base=ChainParams(L=L, alpha=2.0), mu_i=2.0,
+                          mu_ratio_grid=tuple(mu_ratios), beta_c=beta_c,
+                          beta_ratio_grid=tuple(beta_ratios))
+        maps = [enhancement_regions(replace(cfg, workers=w), alpha) for w in (1, 2, 3)]
+        for m in maps[1:]:
+            assert np.array_equal(m.mask, maps[0].mask)
+            assert m.excluded == maps[0].excluded
+
+
+class TestSharedReference:
+    @settings(max_examples=10, deadline=None)
+    @given(alpha_list=st.lists(alphas, min_size=2, max_size=4),
+           beta_ratios=beta_grids, beta_c=st.sampled_from([5.0, 0.05]))
+    def test_short_range_once(self, alpha_list, beta_ratios, beta_c):
+        # One short-range Stirling evaluation per beta grid, however many
+        # alpha rows share the cache, and the rows equal those of fresh caches.
+        cfg = SweepConfig(cycle_kind="stirling", base=ChainParams(L=64, alpha=2.0), mu_i=2.0,
+                          mu_ratio_grid=tuple(np.linspace(0.0, 1.0, 21)), beta_c=beta_c)
+        cache = ReferenceCache()
+        rows = [max_ratio_row(cfg, a, beta_ratios, cache=cache) for a in alpha_list]
+        assert cache.evaluations == 1
+        assert rows == [max_ratio_row(cfg, a, beta_ratios) for a in alpha_list]
+        other = [0.5 * b for b in beta_ratios]
+        assert max_ratio_row(cfg, alpha_list[0], other, cache=cache) == max_ratio_row(
+            cfg, alpha_list[0], other)
+        assert cache.evaluations == 2
