@@ -33,12 +33,11 @@ from .sweep import (
     InsufficientDataError,
     MaxRatioPoint,
     OptimalCondition,
-    ReferenceCache,
     RegionMap,
     SweepConfig,
     SweepRow,
     enhancement_regions,
-    max_ratio_row,
+    max_ratio_grid,
     max_ratios,
     optimal_condition,
     sweep_mu,

@@ -34,10 +34,9 @@ from .oracle import EigensolverError, OracleScaleError
 from .sweep import (
     CYCLE_KINDS,
     InsufficientDataError,
-    ReferenceCache,
     SweepConfig,
     enhancement_regions,
-    max_ratio_row,
+    max_ratio_grid,
     optimal_condition,
     sweep_mu,
 )
@@ -219,7 +218,7 @@ def _unread_keys(subcommand, res):
     if subcommand == "regions" and (res.get("cycle") or _DEFAULTS["cycle"]) == "otto":
         return ("workers",)
     if subcommand in CYCLE_KINDS:
-        if res.get("sweep_mu_flag"):
+        if res.get("sweep_mu"):
             return ("mu_f", "mu_ratio", "workers")
         unread = ("plots", "mu_steps", "workers")
         return unread + ("mu_ratio",) if res.get("mu_f") is not None else unread
@@ -323,7 +322,7 @@ def _cmd_cycle(res, outdir, kind):
         mu_f = 0.5 * mu_i
     beta_c = float(res["beta_c"])
     baths = BathPair(beta_h=float(res["beta_ratio"]) * beta_c, beta_c=beta_c)
-    if res.get("sweep_mu_flag"):
+    if res.get("sweep_mu"):
         cfg = _sweep_config(res, kind)
         rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
         name = f"{kind}-sweep.csv"
@@ -350,7 +349,10 @@ def _cmd_sweep(res, outdir):
     rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
     if res["format"] == "json":
         name = "sweep.json"
-        _write_json(os.path.join(outdir, name), [r.__dict__ for r in rows])
+        # An undefined ratio is null, as JSON has no NaN.
+        _write_json(os.path.join(outdir, name), [
+            {k: v if not isinstance(v, float) or math.isfinite(v) else None
+             for k, v in r.__dict__.items()} for r in rows])
     else:
         name = "sweep.csv"
         _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
@@ -452,11 +454,9 @@ def _fig3(res, outdir):
 
 
 def _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=None):
-    """``sweep_mu`` at each alpha in turn: the alpha column and the rows."""
+    """One ``sweep_mu`` over all ``alphas``: the alpha column and the rows."""
     cfg = _sweep_config(res, kind, mu_ratio_grid=mu_ratio_grid, beta_c=beta_c)
-    cache = ReferenceCache()
-    rows = [row for alpha in alphas
-            for row in sweep_mu(cfg, float(alpha), float(res["beta_ratio"]), cache=cache)]
+    rows = sweep_mu(cfg, alphas, float(res["beta_ratio"]))
     return np.repeat(alphas, len(cfg.mu_ratio_grid)), rows
 
 
@@ -498,13 +498,11 @@ def _maxratio_fig(res, outdir, kind, prefix):
     """Maximum ratios versus alpha (left) and versus beta_h/beta_c (right)."""
     files = []
     cfg = _sweep_config(res, kind)
-    cache = ReferenceCache()
     for suffix, xlabel, xcol, alphas, betas, alpha_major in (
         ("alpha", "alpha", 1, _alphas(res), (0.2, 0.4, 0.6, 0.8), False),
         ("beta", "beta_h/beta_c", 2, ALPHA_PANEL, tuple(np.linspace(0.02, 0.98, 49)), True),
     ):
-        rows = [max_ratio_row(cfg, float(a), [float(b) for b in betas], cache=cache)
-                for a in alphas]
+        rows = max_ratio_grid(replace(cfg, alpha_grid=alphas, beta_ratio_grid=betas))
         cells = [(i, j) for i in range(len(alphas)) for j in range(len(betas))]
         if not alpha_major:
             cells.sort(key=lambda c: (c[1], c[0]))
@@ -606,8 +604,7 @@ def _build_parser():
         p = sub.add_parser(kind, parents=[common, alpha, *grid, beta_ratio, plots])
         p.add_argument("--mu-f", type=float)
         p.add_argument("--mu-ratio", type=float)
-        p.add_argument("--sweep-mu", dest="sweep_mu_flag", action="store_const",
-                       const=True, default=None)
+        p.add_argument("--sweep-mu", action="store_const", const=True, default=None)
 
     p = sub.add_parser("sweep", parents=[common, cycle, alpha, *grid, beta_ratio])
     p.add_argument("--format", choices=("csv", "json"))

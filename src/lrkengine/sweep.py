@@ -8,11 +8,12 @@ against its short-range twin, which does not depend on alpha.  Ratios follow
 ``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
 when both chains are engine-valid.
 
-``sweep_mu`` evaluates one table per chain, the short-range one shared
-through a ``ReferenceCache``.  The grid sweeps, ``max_ratio_row``,
-``optimal_condition`` and ``enhancement_regions``, build each chain's
-spectra on the mu grid once per alpha and decide every cell in one step,
-``_Grid``:
+Every entry builds its short-range side once per call, and no state
+outlives a call.  ``sweep_mu`` takes one alpha or an array of them and
+evaluates one table per chain, all alphas against one short-range table.
+The grid sweeps, ``max_ratio_grid``, ``optimal_condition`` and
+``enhancement_regions``, build each chain's spectra on the mu grid once per
+alpha and decide every cell in one step, ``_Grid``:
 
 * Otto screens the (mu, beta) grid on ``cycles.otto_surface`` (one GEMM per
   chain), whose values lie within a stated bound of the per-mode sums.  A
@@ -105,8 +106,9 @@ class SweepConfig:
 
 
 def _check_alpha(alpha):
-    """The alpha argument of a sweep entry: > 1, as cycles require, or SHORT_RANGE."""
-    if not float(alpha) > 1.0:
+    """The alpha argument of a sweep entry, a scalar or a 1-D array: each > 1,
+    as cycles require, or SHORT_RANGE."""
+    if np.ndim(alpha) > 1 or not np.all(np.asarray(alpha, dtype=float) > 1.0):
         raise InvalidParameterError(f"sweeps require alpha > 1 or SHORT_RANGE, got {alpha}")
 
 
@@ -175,37 +177,6 @@ class CycleTable:
     engine_valid: np.ndarray
 
 
-class ReferenceCache:
-    """Store of short-range reference tables, counting actual evaluations.
-
-    A reference depends on the sweep's chain, mu grid, beta_c and beta ratios
-    but not on alpha, so sharing the cache across alphas computes each
-    reference exactly once: one table per beta ratio for ``sweep_mu``, and
-    one Stirling table per beta grid for the grid sweeps.  Long-range tables
-    are never stored: no sweep reads the same (alpha, beta ratio) table twice.
-    """
-
-    def __init__(self):
-        self._store: dict = {}
-        self.evaluations = 0
-
-    def table(self, config: SweepConfig, beta_ratio) -> CycleTable:
-        """The reference at ``beta_ratio``, a scalar or (Stirling) a 1-D array
-        of beta ratios, as ``_table`` takes it."""
-        base = config.base
-        key = (
-            config.cycle_kind, base.L, base.J, base.Delta, config.mu_i,
-            tuple(config.mu_ratio_grid), config.beta_c,
-            np.shape(beta_ratio), tuple(np.ravel(beta_ratio).tolist()),
-        )
-        hit = self._store.get(key)
-        if hit is None:
-            hit = _table(config, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
-            self._store[key] = hit
-            self.evaluations += 1
-        return hit
-
-
 def _spectra(config: SweepConfig, alpha, mu_ratios):
     """(eps_i, eps_f, cold) of one chain: the spectrum at mu_i, one row per
     mu_f/mu_i in ``mu_ratios``, and the beta_c-only mode-sum factors."""
@@ -245,14 +216,6 @@ def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
 
 
-def _pair_tables(config: SweepConfig, alpha, beta_ratio, cache: ReferenceCache):
-    """The long-range table and its short-range reference at one (alpha, beta ratio)."""
-    _check_alpha(alpha)
-    _check_beta_ratio(beta_ratio)
-    lr = _table(config, _spectra(config, alpha, config.mu_ratio_grid), beta_ratio)
-    return lr, cache.table(config, beta_ratio)
-
-
 def _engine_ratios(lr: CycleTable, sr: CycleTable):
     """(both engine-valid, R_W, R_eta), the ratios -inf where either chain is no engine."""
     both = lr.engine_valid & sr.engine_valid
@@ -260,22 +223,29 @@ def _engine_ratios(lr: CycleTable, sr: CycleTable):
     return both, np.where(both, R_W, -np.inf), np.where(both, R_eta, -np.inf)
 
 
-def sweep_mu(
-    config: SweepConfig, alpha: float, beta_ratio: float, cache: ReferenceCache | None = None
-) -> list[SweepRow]:
-    """Ratio diagnostics along the mu_f/mu_i grid at fixed (alpha, beta_h/beta_c)."""
-    cache = cache if cache is not None else ReferenceCache()
-    lr, sr = _pair_tables(config, alpha, beta_ratio, cache)
-    columns = [c.tolist() for c in ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)]
-    return [
-        SweepRow(
-            mu_ratio=float(r), R_W=R_W, R_eta=R_eta, dQ_rel=dQ_rel, xi=xi,
-            engine_lr=e_lr, engine_sr=e_sr,
+def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> list[SweepRow]:
+    """Ratio diagnostics along the mu_f/mu_i grid at fixed beta_h/beta_c.
+
+    ``alpha`` is a scalar or a 1-D array; the rows run over the mu grid for
+    each alpha in turn, every alpha against one short-range table.
+    """
+    _check_alpha(alpha)
+    _check_beta_ratio(beta_ratio)
+    sr = _table(config, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
+    rows = []
+    for a in np.atleast_1d(alpha):
+        lr = _table(config, _spectra(config, a, config.mu_ratio_grid), beta_ratio)
+        columns = [c.tolist() for c in ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)]
+        rows.extend(
+            SweepRow(
+                mu_ratio=float(r), R_W=R_W, R_eta=R_eta, dQ_rel=dQ_rel, xi=xi,
+                engine_lr=e_lr, engine_sr=e_sr,
+            )
+            for r, R_W, R_eta, dQ_rel, xi, e_lr, e_sr in zip(
+                config.mu_ratio_grid, *columns, lr.engine_valid.tolist(), sr.engine_valid.tolist()
+            )
         )
-        for r, R_W, R_eta, dQ_rel, xi, e_lr, e_sr in zip(
-            config.mu_ratio_grid, *columns, lr.engine_valid.tolist(), sr.engine_valid.tolist()
-        )
-    ]
+    return rows
 
 
 def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
@@ -412,13 +382,13 @@ def _finite(R):
     return np.where(np.isfinite(R), R, -np.inf)
 
 
-def _reference(config: SweepConfig, brs, cache: ReferenceCache):
+def _reference(config: SweepConfig, brs):
     """The short-range side of ``_grid`` at the beta ratios ``brs``: the Otto
-    surface, or the Stirling table from ``cache``."""
+    surface or the Stirling table."""
+    spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
     if config.cycle_kind == "otto":
-        spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
         return _otto_surface(config, SHORT_RANGE, spectra, brs)
-    return cache.table(config, brs)
+    return _table(config, spectra, brs)
 
 
 def _grid(config: SweepConfig, alpha, brs, ref, workers=1) -> _Grid:
@@ -575,46 +545,22 @@ def _row(config: SweepConfig, alpha, brs, ref) -> list:
     return row
 
 
-def max_ratios(
-    config: SweepConfig,
-    alpha: float,
-    beta_ratio: float,
-    cache: ReferenceCache | None = None,
-) -> MaxRatioPoint:
+def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatioPoint:
     """Grid maxima of R_W and R_eta over mu_f/mu_i; non-engine points excluded.
 
     A cell counts only when both chains are engine-valid.  Cells flagged
     unstable under half-step refinement along mu (divergence shoulders at the
     engine-validity boundary, see ``_cusp_rounds`` with its default
     ``rel_tol`` of 5%) are exempted from the maxima and listed.  Ties break
-    toward the smallest grid index.  ``cache`` holds the Stirling
-    short-range references.
+    toward the smallest grid index.
     """
     _check_alpha(alpha)
     _check_beta_ratio(beta_ratio)
-    cache = cache if cache is not None else ReferenceCache()
     brs = np.array([beta_ratio], dtype=float)
-    (point,) = _row(config, alpha, brs, _reference(config, brs, cache))
+    (point,) = _row(config, alpha, brs, _reference(config, brs))
     if isinstance(point, InsufficientDataError):
         raise point
     return point
-
-
-def max_ratio_row(
-    config: SweepConfig, alpha: float, beta_ratios, cache: ReferenceCache | None = None
-) -> list:
-    """``max_ratios`` at each of ``beta_ratios`` for one alpha.
-
-    Both chains' spectra are built once for the whole row.  An entry is None
-    where ``max_ratios`` would raise ``InsufficientDataError``.
-    """
-    _check_alpha(alpha)
-    for b in beta_ratios:
-        _check_beta_ratio(b)
-    cache = cache if cache is not None else ReferenceCache()
-    brs = np.asarray(beta_ratios, dtype=float)
-    row = _row(config, alpha, brs, _reference(config, brs, cache))
-    return [None if isinstance(p, InsufficientDataError) else p for p in row]
 
 
 def _run(workers, fn, n):
@@ -625,9 +571,23 @@ def _run(workers, fn, n):
     return [fn(i) for i in range(n)]
 
 
-def enhancement_regions(
-    config: SweepConfig, alpha: float, cache: ReferenceCache | None = None
-) -> RegionMap:
+def max_ratio_grid(config: SweepConfig) -> list:
+    """``max_ratios`` at every cell of ``config.alpha_grid`` x ``config.beta_ratio_grid``:
+    one list per alpha, with None where ``max_ratios`` would raise
+    ``InsufficientDataError``.
+
+    The short-range side is built once, before the alpha rows run on
+    ``config.workers`` threads; each row builds its long-range spectra once
+    for all beta ratios.
+    """
+    brs = np.asarray(config.beta_ratio_grid, dtype=float)
+    ref = _reference(config, brs)  # built serially, so the workers only read it
+    rows = _run(config.workers, lambda i: _row(config, config.alpha_grid[i], brs, ref),
+                len(config.alpha_grid))
+    return [[None if isinstance(p, InsufficientDataError) else p for p in row] for row in rows]
+
+
+def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
     Otto decides the mask on the surfaces and refines the cells whose
@@ -635,9 +595,8 @@ def enhancement_regions(
     a slice of the beta ratios.
     """
     _check_alpha(alpha)
-    cache = cache if cache is not None else ReferenceCache()
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    grid = _grid(config, alpha, brs, _reference(config, brs, cache), workers=config.workers)
+    grid = _grid(config, alpha, brs, _reference(config, brs), workers=config.workers)
     return RegionMap(
         mu_ratio_grid=np.asarray(config.mu_ratio_grid, dtype=float),
         beta_ratio_grid=brs,
@@ -648,7 +607,7 @@ def enhancement_regions(
     )
 
 
-def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) -> OptimalCondition:
+def optimal_condition(config: SweepConfig) -> OptimalCondition:
     """Argmax of the maximum ratios over the (alpha, beta_h/beta_c) grid.
 
     Each cell holds the ``max_ratios`` value over mu_f/mu_i, whose argmax is
@@ -661,34 +620,18 @@ def optimal_condition(config: SweepConfig, cache: ReferenceCache | None = None) 
     cell value by more than ``rel_tol``.  Exempted cells are listed in
     ``cusp_cells_W`` / ``cusp_cells_eta``.  No alpha direction is tested:
     W_sr does not depend on alpha, so the pole cannot run along it.  The walk
-    runs serially after the worker pool, so the result is the same for any
+    runs serially after ``max_ratio_grid``, so the result is the same for any
     worker count.  ``coincident`` is True when the work and efficiency argmax
-    points agree within one grid cell in both directions.  The short-range
-    side is built before the pool starts; each alpha row builds its
-    long-range spectra once for all beta ratios.
+    points agree within one grid cell in both directions.
     """
-    cache = cache if cache is not None else ReferenceCache()
     alphas = np.asarray(config.alpha_grid, dtype=float)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    shape = (alphas.size, brs.size)
-    R_W_m = np.full(shape, -np.inf)
-    R_eta_m = np.full(shape, -np.inf)
-    mu_W_m = np.full(shape, np.nan)
-    mu_eta_m = np.full(shape, np.nan)
-
-    # Built serially, so the workers below only read it.
-    ref = _reference(config, brs, cache)
-
-    def run_alpha(i):
-        for j, mr in enumerate(_row(config, alphas[i], brs, ref)):
-            if isinstance(mr, InsufficientDataError):
-                continue
-            R_W_m[i, j] = mr.R_W_max
-            R_eta_m[i, j] = mr.R_eta_max
-            mu_W_m[i, j] = mr.arg_mu_ratio_W
-            mu_eta_m[i, j] = mr.arg_mu_ratio_eta
-
-    _run(config.workers, run_alpha, alphas.size)
+    grid = max_ratio_grid(config)
+    R_W_m, R_eta_m, mu_W_m, mu_eta_m = (
+        np.array([[missing if p is None else getattr(p, name) for p in row] for row in grid],
+                 dtype=float)
+        for name, missing in (("R_W_max", -np.inf), ("R_eta_max", -np.inf),
+                              ("arg_mu_ratio_W", np.nan), ("arg_mu_ratio_eta", np.nan)))
 
     if not np.isfinite(R_W_m).any() or not np.isfinite(R_eta_m).any():
         raise InsufficientDataError("no engine-valid (alpha, beta ratio) grid points")

@@ -19,7 +19,6 @@ from lrkengine import (
     ChainParams,
     CycleSpec,
     GaplessConfigurationError,
-    ReferenceCache,
     SweepConfig,
     build_spectrum,
     enhancement_regions,
@@ -149,9 +148,8 @@ class TestAcceptance:
 
     def test_criterion_5_otto_figure_ratios(self):
         t0 = time.perf_counter()
-        cache_low, cache_high = ReferenceCache(), ReferenceCache()
-        rows_low = sweep_mu(sweep_config("otto", 5.0), 1.05, 0.2, cache=cache_low)
-        rows_high = sweep_mu(sweep_config("otto", 0.05), 1.05, 0.2, cache=cache_high)
+        rows_low = sweep_mu(sweep_config("otto", 5.0), 1.05, 0.2)
+        rows_high = sweep_mu(sweep_config("otto", 0.05), 1.05, 0.2)
 
         band_a = [r.R_W for r in rows_low if 0.55 <= r.mu_ratio <= 0.95]
         ok_a1 = all(v > 1.0 for v in band_a)

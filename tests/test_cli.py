@@ -11,11 +11,21 @@ from lrkengine import (
     BathPair,
     ChainParams,
     CycleSpec,
+    SweepConfig,
     otto_cycle,
     spectrum_scan,
+    sweep_mu,
     winding_number,
 )
-from lrkengine.cli import EXIT_CONFIG, EXIT_CONTRACT, EXIT_OK, main
+from lrkengine.cli import (
+    EXIT_CONFIG,
+    EXIT_CONTRACT,
+    EXIT_OK,
+    ConfigError,
+    _build_parser,
+    _resolve,
+    main,
+)
 
 FAST = [
     "--L", "200", "--mu-steps", "21",
@@ -84,6 +94,23 @@ class TestCsvFormat:
         assert all(re.fullmatch(r"-?(\d+(\.\d+)?(e[+-]\d+)?|nan|inf)", c) for c in cells)
         digits = max(len(c.replace("-", "").replace(".", "").lstrip("0")) for c in cells)
         assert digits >= 15
+
+    def test_sweep_json_strict(self, tmp_path):
+        # At mu_f/mu_i = 1 both W are 0, so R_W is undefined: null, not NaN.
+        code, out = run(tmp_path, "sweep", "--cycle", "otto", "--alpha", "1.05",
+                        "--beta-c", "5", "--beta-ratio", "0.2", "--format", "json", *FAST)
+        assert code == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        got = json.loads((out / "sweep.json").read_text(), parse_constant=reject)
+        cfg = SweepConfig(cycle_kind="otto", base=ChainParams(L=200, alpha=2.0),
+                          mu_ratio_grid=tuple(np.linspace(0.0, 1.0, 21)))
+        want = [{k: None if isinstance(v, float) and np.isnan(v) else v
+                 for k, v in vars(r).items()} for r in sweep_mu(cfg, 1.05, 0.2)]
+        assert got == want
+        assert got[-1]["R_W"] is None
 
     def test_spectrum_csv_matches_scan(self, tmp_path):
         code, out = run(tmp_path, "spectrum", "--alpha", "1.5", "--L", "200",
@@ -252,6 +279,24 @@ class TestConfigFile:
         w1 = json.loads((out1 / "otto.json").read_text())["W"]
         w2 = json.loads((out2 / "otto.json").read_text())["W"]
         assert w1 != w2
+
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        # Each flag a subcommand declares is a config key spelled as the
+        # flag; a run may still reject the key as unread or its value.
+        parser, subparsers = _build_parser()
+        for name, sub in subparsers.items():
+            for action in sub._actions:
+                flags = [o for o in action.option_strings if o.startswith("--")]
+                if not flags or action.dest in ("help", "config"):
+                    continue
+                value = "true" if action.nargs == 0 else (action.choices or ("1",))[0]
+                cfg = write_config(tmp_path, {flags[0][2:]: value})
+                args = parser.parse_args(
+                    [name, "--config", cfg] + (["4"] if name == "reproduce-figure" else []))
+                try:
+                    _resolve(args, sub)
+                except ConfigError as exc:
+                    assert "unknown config key" not in str(exc), (name, flags[0])
 
     def test_env_workers_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LRK_WORKERS", "3")

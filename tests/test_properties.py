@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from lrkengine import (
     SHORT_RANGE,
     ChainParams,
-    ReferenceCache,
     SweepConfig,
     chain,
     cycles,
     enhancement_regions,
-    max_ratio_row,
+    sweep_mu,
     winding_number,
 )
 from lrkengine.cycles import otto_mode_sums, otto_surface, stirling_mode_sums, stirling_surface
@@ -145,10 +144,9 @@ class TestShortRangeUnchanged:
             Q_h, _, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
         else:
             W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
-        for table in (ReferenceCache().table(cfg, beta_ratio),
-                      _table(cfg, _spectra(cfg, SHORT_RANGE, mu_ratios), beta_ratio)):
-            assert np.array_equal(table.W, W)
-            assert np.array_equal(table.Q_h, Q_h)
+        table = _table(cfg, _spectra(cfg, SHORT_RANGE, mu_ratios), beta_ratio)
+        assert np.array_equal(table.W, W)
+        assert np.array_equal(table.Q_h, Q_h)
 
 
 class TestLongRangeTables:
@@ -228,7 +226,7 @@ class TestOttoSurface:
         # straddle 1, so the examples exercise every refinement.
         cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
         brs = np.asarray(beta_ratios)
-        screened = _grid(cfg, alpha, brs, _reference(cfg, brs, ReferenceCache()))
+        screened = _grid(cfg, alpha, brs, _reference(cfg, brs))
         exact = exact_grid(cfg, alpha, brs)
         assert np.array_equal(screened.both, exact.both)
         assert np.array_equal(screened.region_mask(), exact.region_mask())
@@ -322,20 +320,21 @@ class TestStirlingSurface:
             assert m.excluded == maps[0].excluded
 
 
+def columns(rows):
+    """Each ``SweepRow`` field as the bytes of one array."""
+    return {f: np.array([getattr(r, f) for r in rows]).tobytes() for f in vars(rows[0])}
+
+
 class TestSharedReference:
-    @settings(max_examples=10, deadline=None)
-    @given(alpha_list=st.lists(alphas, min_size=2, max_size=4),
-           beta_ratios=beta_grids, beta_c=st.sampled_from([5.0, 0.05]))
-    def test_short_range_once(self, alpha_list, beta_ratios, beta_c):
-        # One short-range Stirling evaluation per beta grid, however many
-        # alpha rows share the cache, and the rows equal those of fresh caches.
-        cfg = SweepConfig(cycle_kind="stirling", base=ChainParams(L=64, alpha=2.0), mu_i=2.0,
-                          mu_ratio_grid=tuple(np.linspace(0.0, 1.0, 21)), beta_c=beta_c)
-        cache = ReferenceCache()
-        rows = [max_ratio_row(cfg, a, beta_ratios, cache=cache) for a in alpha_list]
-        assert cache.evaluations == 1
-        assert rows == [max_ratio_row(cfg, a, beta_ratios) for a in alpha_list]
-        other = [0.5 * b for b in beta_ratios]
-        assert max_ratio_row(cfg, alpha_list[0], other, cache=cache) == max_ratio_row(
-            cfg, alpha_list[0], other)
-        assert cache.evaluations == 2
+    @settings(max_examples=30, deadline=None)
+    @given(kind=kinds, L=st.integers(1, 256).map(lambda n: 2 * n),
+           alpha_list=st.lists(alphas_or_sr, min_size=1, max_size=4),
+           beta_c=st.sampled_from([5.0, 0.05]), beta_ratio=st.floats(0.01, 1.0),
+           mu_ratios=mu_grids)
+    def test_alpha_array_bitwise(self, kind, L, alpha_list, beta_c, beta_ratio, mu_ratios):
+        # One call over an array of alphas, all against one short-range
+        # table, gives the rows of one call per alpha, alpha-major, bitwise.
+        cfg = sweep_config(kind, L, 2.0, beta_c, mu_ratios)
+        got = sweep_mu(cfg, np.asarray(alpha_list), beta_ratio)
+        want = [row for a in alpha_list for row in sweep_mu(cfg, a, beta_ratio)]
+        assert columns(got) == columns(want)

@@ -15,16 +15,16 @@ from lrkengine import (
     InvalidParameterError,
     MaxRatioPoint,
     OptimalCondition,
-    ReferenceCache,
     SweepConfig,
     chain,
     enhancement_regions,
-    max_ratio_row,
+    max_ratio_grid,
     max_ratios,
     optimal_condition,
     otto_cycle,
     ratio_diagnostics,
     stirling_cycle,
+    sweep,
     sweep_mu,
 )
 from lrkengine.cycles import (
@@ -67,18 +67,25 @@ class TestConfigValidation:
                     {"mu_i": -1.0}, {"mu_i": math.nan}, {"mu_i": math.inf}):
             with pytest.raises(InvalidParameterError):
                 SweepConfig(cycle_kind="otto", base=BASE, **bad)
+        for alpha in (0.5, 1.0, math.nan):
+            with pytest.raises(InvalidParameterError):
+                SweepConfig(cycle_kind="otto", base=BASE, alpha_grid=(alpha,))
+        for beta_ratio in (1.5, -0.2, 0.0, math.nan):
+            with pytest.raises(InvalidParameterError):
+                SweepConfig(cycle_kind="otto", base=BASE, beta_ratio_grid=(0.2, beta_ratio))
         cfg = config(mu_steps=5, beta_ratio_grid=(0.2,))
         for alpha in (0.5, 1.0, math.nan):
             for call in (lambda: sweep_mu(cfg, alpha, 0.2),
+                         lambda: sweep_mu(cfg, [1.5, alpha], 0.2),
                          lambda: max_ratios(cfg, alpha, 0.2),
-                         lambda: max_ratio_row(cfg, alpha, [0.2]),
                          lambda: enhancement_regions(cfg, alpha)):
                 with pytest.raises(InvalidParameterError):
                     call()
+        with pytest.raises(InvalidParameterError):
+            sweep_mu(cfg, [[1.5, 2.0]], 0.2)
         for beta_ratio in (1.5, -0.2, 0.0, math.nan):
             for call in (lambda: sweep_mu(cfg, 1.5, beta_ratio),
-                         lambda: max_ratios(cfg, 1.5, beta_ratio),
-                         lambda: max_ratio_row(cfg, 1.5, [0.2, beta_ratio])):
+                         lambda: max_ratios(cfg, 1.5, beta_ratio)):
                 with pytest.raises(InvalidParameterError):
                     call()
 
@@ -127,14 +134,27 @@ class TestSweepMu:
 
 
 class TestReferenceSharing:
-    def test_reference_computed_once(self):
-        cfg = config(mu_steps=21)
-        cache = ReferenceCache()
-        for alpha in (1.05, 1.5, 3.0):
-            sweep_mu(cfg, alpha, 0.2, cache=cache)
-        # Long-range tables are not cached; the shared short-range table is
-        # computed exactly once.
-        assert cache.evaluations == 1
+    def test_reference_computed_once(self, monkeypatch):
+        # One short-range build on the whole mu grid per call, however many
+        # alphas and threads read it.  Refinements and cusp probes evaluate
+        # at most half a grid of rows at a time, so they do not count here.
+        spectra, builds = sweep._spectra, []
+
+        def counting(config, alpha, mu_ratios):
+            if alpha == SHORT_RANGE and len(mu_ratios) == len(config.mu_ratio_grid):
+                builds.append(alpha)
+            return spectra(config, alpha, mu_ratios)
+
+        monkeypatch.setattr(sweep, "_spectra", counting)
+        for kind in ("otto", "stirling"):
+            cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.05, 1.5, 3.0),
+                         beta_ratio_grid=(0.2, 0.48))
+            for call in (lambda: sweep_mu(cfg, cfg.alpha_grid, 0.2),
+                         lambda: max_ratio_grid(cfg),
+                         lambda: max_ratio_grid(replace(cfg, workers=2))):
+                builds.clear()
+                call()
+                assert builds == [SHORT_RANGE], kind
 
 
 class TestMaxRatios:
@@ -165,20 +185,21 @@ class TestMaxRatios:
 
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
     def test_row_matches_max_ratios(self, kind):
-        cfg = config(kind=kind, mu_steps=21)
-        betas = [0.2, 0.48, 0.9]
-        for beta_ratio, got in zip(betas, max_ratio_row(cfg, 2.479, betas)):
-            try:
-                want = max_ratios(cfg, 2.479, beta_ratio)
-            except InsufficientDataError:
-                want = None
-            assert got == want
-        assert max_ratio_row(config(mu_steps=2), 1.05, [0.2, 0.4]) == [None, None]
+        cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.5, 2.479),
+                     beta_ratio_grid=(0.2, 0.48, 0.9))
+        for alpha, row in zip(cfg.alpha_grid, max_ratio_grid(cfg)):
+            for beta_ratio, got in zip(cfg.beta_ratio_grid, row):
+                try:
+                    want = max_ratios(cfg, alpha, beta_ratio)
+                except InsufficientDataError:
+                    want = None
+                assert got == want
+        cfg = config(mu_steps=2, alpha_grid=(1.05,), beta_ratio_grid=(0.2, 0.4))
+        assert max_ratio_grid(cfg) == [[None, None]]
 
     def test_nonmonotonic_in_alpha_at_beta_04(self):
         cfg = config()
-        cache = ReferenceCache()
-        vals = [max_ratios(cfg, a, 0.4, cache=cache).R_W_max for a in (1.05, 1.5, 6.0)]
+        vals = [max_ratios(cfg, a, 0.4).R_W_max for a in (1.05, 1.5, 6.0)]
         assert vals[1] > vals[0] and vals[1] > vals[2]
 
 
@@ -466,14 +487,16 @@ class TestSerialOracle:
         cfg = random_grid(kind, beta_c, seed)
         betas = list(cfg.beta_ratio_grid)
         # At SHORT_RANGE every R is 1: the argmax is the first engine cell.
-        for alpha in (cfg.alpha_grid[1], SHORT_RANGE):
-            want_row = oracle_max_ratio_row(cfg, alpha, betas)
-            assert max_ratio_row(cfg, alpha, betas) == want_row
-            for b, want in zip(betas, want_row):
-                assert outcome(max_ratios, cfg, alpha, b) == (want or InsufficientDataError)
-        want_row = oracle_max_ratio_row(cfg, cfg.alpha_grid[1], betas)
+        rows_cfg = replace(cfg, alpha_grid=(*cfg.alpha_grid, SHORT_RANGE))
+        want_grid = [oracle_max_ratio_row(cfg, a, betas) for a in rows_cfg.alpha_grid]
+        for workers in (1, 2, 3):
+            assert max_ratio_grid(replace(rows_cfg, workers=workers)) == want_grid
+        for i in (1, -1):
+            for b, want in zip(betas, want_grid[i]):
+                assert (outcome(max_ratios, cfg, rows_cfg.alpha_grid[i], b)
+                        == (want or InsufficientDataError))
         want = outcome(oracle_optimal_condition, cfg)
         for workers in (1, 2, 3):
             assert outcome(optimal_condition, replace(cfg, workers=workers)) == want
         if seed == 0:
-            assert want.cusp_cells_W and any(p and p.cusp_mu_ratios_W for p in want_row)
+            assert want.cusp_cells_W and any(p and p.cusp_mu_ratios_W for p in want_grid[1])
