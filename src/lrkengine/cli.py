@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract failure, 4 I/O.
 
 import argparse
 import configparser
+import itertools
 import json
 import math
 import os
@@ -83,23 +84,34 @@ def _positive_int(text):
 #: Rows formatted and written per block, which bounds the memory a table's text takes.
 _CSV_BLOCK = 1 << 16
 
+#: ``%`` conversion by dtype kind: integers (bool too) and text as is; any other is %.17g.
+_CELL = {"b": "%d", "i": "%d", "u": "%d", "O": "%s", "U": "%s"}
+
 
 def _cells(column) -> list:
-    """One column as text: bool and integer dtypes as integers, any other as %.17g."""
-    a = np.asarray(column)
-    if a.dtype.kind in "biu":
-        return [str(v) for v in a.astype(np.int64).tolist()]
-    return [_fmt(v) for v in a.astype(float, copy=False).tolist()]
+    """One column's cells as Python values: floats, unless ``_CELL`` names its dtype kind."""
+    if column.dtype.kind in _CELL:
+        return column.tolist()
+    return column.astype(float, copy=False).tolist()
+
+
+def _key_text(values):
+    """``values`` as %.17g text, formatted once for a key column that repeats each of them."""
+    return np.array([_fmt(v) for v in np.asarray(values, dtype=float).tolist()], dtype=object)
 
 
 def _write_csv(path, header, columns):
-    """Comma-separated table of equal-length ``columns``: header row, LF endings."""
+    """Comma-separated table of equal-length ``columns``: header row, LF endings.
+
+    Each block of rows is one ``%``: the row template, repeated, over the interleaved cells.
+    """
     columns = [np.asarray(c) for c in columns]
+    row = ",".join(_CELL.get(c.dtype.kind, "%.17g") for c in columns) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = zip(*(_cells(c[i : i + _CSV_BLOCK]) for c in columns))
-            fh.write("".join(",".join(row) + "\n" for row in rows))
+            block = [_cells(c[i : i + _CSV_BLOCK]) for c in columns]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _write_json(path, obj):
@@ -282,7 +294,7 @@ def _spectrum_table(outdir, stem, params, mus, plots):
     """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``."""
     scan = spectrum_scan(params, mus)
     _write_csv(os.path.join(outdir, f"{stem}.csv"), ["mu", "level_index", "energy"], [
-        np.repeat([mu for mu, _ in scan], params.L),
+        np.repeat(_key_text([mu for mu, _ in scan]), params.L),
         np.tile(np.arange(params.L), len(scan)),
         np.concatenate([levels for _, levels in scan]),
     ])
@@ -376,7 +388,7 @@ def _cmd_regions(res, outdir):
 
 
 def _region_csv(path, region):
-    mu, br = region.mu_ratio_grid, region.beta_ratio_grid
+    mu, br = _key_text(region.mu_ratio_grid), _key_text(region.beta_ratio_grid)
     _write_csv(path, ["mu_ratio", "beta_ratio", "enhanced"],
                [np.repeat(mu, br.size), np.tile(br, mu.size), region.mask.ravel()])
 
@@ -428,7 +440,8 @@ def _fig1(res, outdir):
             continue
         w[i, j], residual[i, j] = wr.w, wr.residual
     _write_csv(os.path.join(outdir, "fig1d.csv"), ["mu", "alpha", "w", "residual"], [
-        np.tile(mus, alphas.size), np.repeat(alphas, mus.size), w.ravel(), residual.ravel(),
+        np.tile(_key_text(mus), alphas.size), np.repeat(_key_text(alphas), mus.size),
+        w.ravel(), residual.ravel(),
     ])
     _plot_script(os.path.join(outdir, "fig1d.gp"), "winding number",
                  "mu", "alpha", "'fig1d.csv' using 1:2:3 with image notitle")
@@ -440,12 +453,13 @@ def _fig3(res, outdir):
     mu_i = 2.0
     ratios = np.linspace(0.0, 1.0, 81)
     k = momentum_grid(2000)[::5]
+    keys = [np.repeat(_key_text(ratios), k.size), np.tile(_key_text(k / math.pi), ratios.size)]
     for tag, alpha in (("a", 1.05), ("b", 2.0), ("c", 10.0), ("d", SHORT_RANGE)):
         base = ChainParams(L=2000, J=float(res["J"]), Delta=float(res["Delta"]), alpha=alpha)
         eps = spectrum_energies(base, ratios * mu_i)[:, ::5]
         name = f"fig3{tag}.csv"
         _write_csv(os.path.join(outdir, name), ["mu_ratio", "k_over_pi", "energy"],
-                   [np.repeat(ratios, k.size), np.tile(k / math.pi, ratios.size), eps.ravel()])
+                   keys + [eps.ravel()])
         _plot_script(os.path.join(outdir, f"fig3{tag}.gp"), "quasiparticle energy",
                      "mu_f/mu_i", "k/pi",
                      f"'{name}' using 1:2:3 with image notitle")
@@ -457,7 +471,7 @@ def _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=None):
     """One ``sweep_mu`` over all ``alphas``: the alpha column and the rows."""
     cfg = _sweep_config(res, kind, mu_ratio_grid=mu_ratio_grid, beta_c=beta_c)
     rows = sweep_mu(cfg, alphas, float(res["beta_ratio"]))
-    return np.repeat(alphas, len(cfg.mu_ratio_grid)), rows
+    return np.repeat(_key_text(alphas), len(cfg.mu_ratio_grid)), rows
 
 
 def _ratio_fig(res, outdir, kind, prefix):
@@ -643,6 +657,10 @@ def main(argv=None) -> int:
         files = _DISPATCH[args.subcommand](res, outdir)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lrk: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"lrk: config error: the request is too large for this machine: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except CONTRACT_ERRORS as exc:
         print(f"lrk: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 handling, exit codes, and manifest round-trips."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from lrkengine import (
     ChainParams,
     CycleSpec,
     SweepConfig,
+    enhancement_regions,
     otto_cycle,
     spectrum_scan,
     sweep_mu,
@@ -24,6 +26,7 @@ from lrkengine.cli import (
     ConfigError,
     _build_parser,
     _resolve,
+    _write_csv,
     main,
 )
 
@@ -32,6 +35,11 @@ FAST = [
 ]
 
 MAX_RATIO_HEADER = "alpha,beta_ratio,R_W_max,R_eta_max,arg_W,arg_eta"
+
+
+def cell(v):
+    """One float cell as the CSVs write it: 17 significant digits."""
+    return "%.17g" % float(v)
 
 
 def run(tmp_path, *argv):
@@ -128,6 +136,42 @@ class TestCsvFormat:
             block = cells[200 * b : 200 * (b + 1)]
             assert all(float(c[0]) == mu for c in block)
             assert np.array_equal([float(c[2]) for c in block], levels)
+
+    def test_spectrum_csv_bytes(self, tmp_path):
+        code, out = run(tmp_path, "spectrum", "--alpha", "1.5", "--L", "200",
+                        "--mu-min", "-1", "--mu-max", "1", "--mu-steps", "5")
+        assert code == EXIT_OK
+        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), np.linspace(-1.0, 1.0, 5))
+        assert 0.0 in [mu for mu, _ in scan]
+        want = "mu,level_index,energy\n" + "".join(
+            f"{cell(mu)},{i},{cell(e)}\n" for mu, levels in scan for i, e in enumerate(levels))
+        assert (out / "spectrum.csv").read_bytes() == want.encode()
+
+    def test_regions_csv_bytes(self, tmp_path):
+        code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.5", "--L", "200")
+        assert code == EXIT_OK
+        cfg = SweepConfig(cycle_kind="otto", base=ChainParams(L=200, alpha=2.0),
+                          mu_ratio_grid=tuple(np.linspace(0.0, 1.0, 201)))
+        region = enhancement_regions(cfg, 1.5)
+        want = "mu_ratio,beta_ratio,enhanced\n" + "".join(
+            f"{cell(mu)},{cell(b)},{int(region.mask[i, j])}\n"
+            for i, mu in enumerate(region.mu_ratio_grid)
+            for j, b in enumerate(region.beta_ratio_grid))
+        assert (out / "regions.csv").read_bytes() == want.encode()
+
+    # Blocks of 4 rows: 0, 1, B - 1, B, B + 1 and 2B + 3 rows.
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 11])
+    def test_write_csv_bytes(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr("lrkengine.cli._CSV_BLOCK", 4)
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, 1 / 3, 0.0]
+        i = np.arange(n)
+        columns = [i % 3 == 0, i * 10**15 - 7, (i * 97).astype(np.uint8),
+                   np.array(floats)[i % len(floats)],
+                   np.array([f"key {j}%s" for j in range(n)], dtype=object)]
+        _write_csv(tmp_path / "t.csv", ["bool", "int64", "uint8", "float64", "text"], columns)
+        want = "bool,int64,uint8,float64,text\n" + "".join(
+            f"{int(b)},{int(k)},{int(u)},{cell(f)},{t}\n" for b, k, u, f, t in zip(*columns))
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
     def test_regions_csv(self, tmp_path):
         code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.05",
@@ -262,6 +306,14 @@ class TestExitCodes:
         cfg.write_text("[other]\nL = 8\n")
         code, _ = run(tmp_path, "otto", "--alpha", "1.05", "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    def test_request_too_large_for_memory(self, tmp_path, capsys):
+        # numpy refuses the 72 TiB grid at once, so no memory is touched.
+        code, _ = run(tmp_path, "winding", "--alpha", "1.5", "--L", "20",
+                      "--grid-density", str(10**13))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("lrk: config error: ") and "Traceback" not in err
 
     def test_invalid_parameter(self, tmp_path):
         code, _ = run(tmp_path, "otto", "--alpha", "1.05", "--L", "7")
