@@ -4,12 +4,12 @@ Sign convention: every heat is positive when absorbed by the working medium.
 A cycle evaluation builds the initial- and final-mu spectra on the same
 momentum grid and reduces them with O(L) mode sums.  The spectra come from
 the chain module, which computes the pairing sum on the grid by one FFT and
-keeps it, with cos k, per (L, alpha).  The mode sums take their beta_c-only
-factors as an optional argument, so a sweep over beta_h builds them once.
-``otto_surface`` evaluates the Otto sums on a whole (mu_f, beta_h) grid as
-four dot products, one of them a GEMM, and states a bound on its distance
-from ``otto_mode_sums``; the sweeps screen on it and decide on the per-mode
-sums, which ``otto_cycle`` and ``stirling_cycle`` keep as the literal path.
+keeps it, with cos k, per (L, alpha).  Every mode sum and surface forms its
+beta_c terms itself from the spectra it is given.  ``otto_surface``
+evaluates the Otto sums on a whole (mu_f, beta_h) grid as four dot
+products, one of them a GEMM, and states a bound on its distance from
+``otto_mode_sums``; the sweeps screen on it and decide on the per-mode sums,
+which ``otto_cycle`` and ``stirling_cycle`` keep as the literal path.
 """
 
 import math
@@ -135,38 +135,30 @@ class RatioDiagnostics:
     defined: bool
 
 
-def otto_cold_terms(eps_i, eps_f, beta_c: float):
-    """The beta_c-only factor of ``otto_mode_sums``: tanh(beta_c eps_f / 2)."""
-    return np.tanh(0.5 * beta_c * np.asarray(eps_f, dtype=float))
-
-
-def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
+def otto_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
     """Per-cycle Otto heats and work as mode sums over the last axis.
 
     ``eps_i`` has shape (nk,); ``eps_f`` may carry leading batch axes, and
-    ``beta_h`` may be a column of one value per row of ``eps_f``.
-    ``cold`` is ``otto_cold_terms(eps_i, eps_f, beta_c)``, built here when
-    not given.  W is accumulated independently of Q_h and Q_c (same
-    occupation factor, different energy weights) so the first law is a
-    nontrivial check.
+    ``beta_h`` may be a column of one value per row of ``eps_f``.  W is
+    accumulated independently of Q_h and Q_c (same occupation factor,
+    different energy weights) so the first law is a nontrivial check.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    t_cf = otto_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
-    occ = t_cf - np.tanh(0.5 * beta_h * eps_i)
+    occ = np.tanh(0.5 * beta_c * eps_f) - np.tanh(0.5 * beta_h * eps_i)
     Q_h = np.sum(eps_i * occ, axis=-1)
     Q_c = -np.sum(eps_f * occ, axis=-1)
     W = np.sum((eps_i - eps_f) * occ, axis=-1)
     return Q_h, Q_c, W
 
 
-def otto_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
+def otto_surface(eps_i, eps_f, beta_hs, beta_c: float):
     """Otto Q_h, Q_c and W on the grid of ``eps_f`` rows x ``beta_hs``, with a bound on
     their distance from ``otto_mode_sums``.
 
-    ``eps_f`` has shape (n_mu, nk) and ``cold`` is ``otto_cold_terms`` of it.  With
-    t_c = tanh(beta_c eps_f / 2) and t_h = tanh(beta_h eps_i / 2), the sums split into
-    four dot products of non-negative terms, a = t_c.eps_i and c = sum eps_f t_c per row,
+    ``eps_f`` has shape (n_mu, nk).  With t_c = tanh(beta_c eps_f / 2) and
+    t_h = tanh(beta_h eps_i / 2), the sums split into four dot products of
+    non-negative terms, a = t_c.eps_i and c = sum eps_f t_c per row,
     b = t_h.eps_i per beta_h, and D = eps_f @ t_h^T, one GEMM:
     Q_h = a - b, Q_c = D - c and W = Q_h + Q_c, each of shape (n_mu, n_beta).
     Both forms use the same tanh arrays and round each of their sums of at most nk
@@ -178,7 +170,7 @@ def otto_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    t_c = otto_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
+    t_c = np.tanh(0.5 * beta_c * eps_f)
     t_h = np.tanh(0.5 * np.asarray(beta_hs, dtype=float)[:, None] * eps_i)
     a = (t_c @ eps_i)[:, None]
     c = np.sum(eps_f * t_c, axis=-1)[:, None]
@@ -190,36 +182,25 @@ def otto_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
     return Q_h, Q_c, Q_h + Q_c, tol
 
 
-def stirling_cold_terms(eps_i, eps_f, beta_c: float):
-    """The beta_c-only parts of ``stirling_mode_sums``, as (t_ci, t_cf, w_c, Q_III):
-    tanh(beta_c eps / 2) for eps_i and eps_f, the cold isotherm's ln cosh
-    work terms w_c per mode, and Q_III, which depends on beta_c alone."""
+def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
+    """Per-process Stirling heats, closed-form work, and hot-bath heat.
+
+    Returns (Q_I, Q_II, Q_III, Q_IV, W, Q_h) with W from the two-bracket
+    isothermal ln cosh form, independent of the Q-sum.  As in
+    ``otto_mode_sums``, ``beta_h`` may be a column of one value per row.
+    """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
     t_ci = np.tanh(0.5 * beta_c * eps_i)
     t_cf = np.tanh(0.5 * beta_c * eps_f)
     w_c = (2.0 / beta_c) * (lncosh(0.5 * beta_c * eps_i) - lncosh(0.5 * beta_c * eps_f))
-    Q_III = np.sum(w_c - (eps_i * t_ci - eps_f * t_cf), axis=-1)
-    return t_ci, t_cf, w_c, Q_III
-
-
-def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
-    """Per-process Stirling heats, closed-form work, and hot-bath heat.
-
-    Returns (Q_I, Q_II, Q_III, Q_IV, W, Q_h) with W from the two-bracket
-    isothermal ln cosh form, independent of the Q-sum.  ``cold`` is
-    ``stirling_cold_terms(eps_i, eps_f, beta_c)``, built here when not given.
-    As in ``otto_mode_sums``, ``beta_h`` may be a column of one value per row.
-    """
-    eps_i = np.asarray(eps_i, dtype=float)
-    eps_f = np.asarray(eps_f, dtype=float)
-    t_ci, t_cf, w_c, Q_III = stirling_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
     t_hi = np.tanh(0.5 * beta_h * eps_i)
     t_hf = np.tanh(0.5 * beta_h * eps_f)
     w_h = (2.0 / beta_h) * (lncosh(0.5 * beta_h * eps_f) - lncosh(0.5 * beta_h * eps_i))
 
     Q_I = np.sum(w_h - (eps_f * t_hf - eps_i * t_hi), axis=-1)
     Q_II = np.sum(eps_f * (t_hf - t_cf), axis=-1)
+    Q_III = np.sum(w_c - (eps_i * t_ci - eps_f * t_cf), axis=-1)
     Q_IV = np.sum(eps_i * (t_ci - t_hi), axis=-1)
     W = np.sum(w_h + w_c, axis=-1)
     Q_h = Q_I + Q_IV
@@ -231,22 +212,25 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float, cold=None):
 _SURFACE_BLOCK = 1 << 14
 
 
-def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float, cold=None):
+def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float):
     """Stirling W and Q_h on the grid of ``eps_f`` rows x ``beta_hs``, each cell
     bitwise the value of ``stirling_mode_sums`` at that row and beta_h.
 
-    ``eps_f`` has shape (n_mu, nk) and ``cold`` is ``stirling_cold_terms`` of it;
-    W and Q_h have shape (n_mu, n_beta).  For each beta_h the eps_i-only terms
-    (t_hi, its ln cosh, eps_i t_hi and Q_IV) are built once.  The eps_f rows
-    then pass in blocks of ``_SURFACE_BLOCK // nk`` rows through three buffers
-    allocated once per call, by the elementwise operations of
-    ``stirling_mode_sums`` (ln cosh as in ``thermo.lncosh``) in the same order
-    and one sum per row, so no block allocates a temporary of table size.
-    Q_II, which neither W nor Q_h uses, is not formed.
+    ``eps_f`` has shape (n_mu, nk), and W and Q_h have shape (n_mu, n_beta).
+    Of the beta_c terms, only the two that W and Q_h read are built, once:
+    tanh(beta_c eps_i / 2) and the cold ln cosh work terms w_c.  For each
+    beta_h the eps_i-only terms (t_hi, its ln cosh, eps_i t_hi and Q_IV) are
+    built once.  The eps_f rows then pass in blocks of ``_SURFACE_BLOCK // nk``
+    rows through three buffers allocated once per call, by the elementwise
+    operations of ``stirling_mode_sums`` (ln cosh as in ``thermo.lncosh``) in
+    the same order and one sum per row, so no block allocates a temporary of
+    table size.
+    Q_II and Q_III, which neither W nor Q_h uses, are not formed.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    t_ci, _, w_c, _ = stirling_cold_terms(eps_i, eps_f, beta_c) if cold is None else cold
+    t_ci = np.tanh(0.5 * beta_c * eps_i)
+    w_c = (2.0 / beta_c) * (lncosh(0.5 * beta_c * eps_i) - lncosh(0.5 * beta_c * eps_f))
     beta_hs = np.asarray(beta_hs, dtype=float)
     n_mu, nk = eps_f.shape
     W = np.empty((n_mu, beta_hs.size))

@@ -25,9 +25,11 @@ alpha and decide every cell in one step, ``_Grid``:
   and feeds them through the same step with a bound of 0.
 
 Cells are recomputed from one-row spectra gathered into batches of at most
-half a table's rows, each row equal bitwise to the table's.  The cusp walks
-(``_cusp_rounds``) advance in rounds: each round evaluates the half-step
-midpoints of every unresolved column's current candidate together.
+half a table's rows, each row equal bitwise to the table's: the mode sums
+form their beta_c terms themselves, elementwise on the rows they are given.
+The cusp walks (``_cusp_rounds``) advance in rounds: each round evaluates the
+half-step midpoints of every unresolved column's current candidate together,
+each distinct point once.
 """
 
 import math
@@ -38,12 +40,10 @@ import numpy as np
 
 from .chain import SHORT_RANGE, ChainParams, InvalidParameterError, spectrum_energies
 from .cycles import (
-    otto_cold_terms,
     otto_engine_valid,
     otto_mode_sums,
     otto_surface,
     ratio_arrays,
-    stirling_cold_terms,
     stirling_engine_valid,
     stirling_mode_sums,
     stirling_surface,
@@ -83,6 +83,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.cycle_kind not in CYCLE_KINDS:
             raise InvalidParameterError(f"unknown cycle kind {self.cycle_kind!r}")
+        if not isinstance(self.workers, (int, np.integer)):
+            raise InvalidParameterError(f"workers must be an integer, got {self.workers!r}")
         if not (0.0 < self.beta_c < math.inf) or self.workers < 1:
             raise InvalidParameterError("beta_c must be finite and > 0, and workers >= 1")
         if not (0.0 <= self.mu_i < math.inf):
@@ -178,13 +180,11 @@ class CycleTable:
 
 
 def _spectra(config: SweepConfig, alpha, mu_ratios):
-    """(eps_i, eps_f, cold) of one chain: the spectrum at mu_i, one row per
-    mu_f/mu_i in ``mu_ratios``, and the beta_c-only mode-sum factors."""
+    """(eps_i, eps_f) of one chain: the spectrum at mu_i and one row per
+    mu_f/mu_i in ``mu_ratios``."""
     base = replace(config.base, alpha=float(alpha))
     eps_i = spectrum_energies(base, config.mu_i)
-    eps_f = spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
-    cold_terms = otto_cold_terms if config.cycle_kind == "otto" else stirling_cold_terms
-    return eps_i, eps_f, cold_terms(eps_i, eps_f, config.beta_c)
+    return eps_i, spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
 
 
 def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
@@ -194,21 +194,22 @@ def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
     is then bitwise the row of the table at its own beta ratio.  Stirling
     also takes a 1-D array of beta ratios, for a column per beta ratio.  Its
     scalar and 1-D cases come from ``stirling_surface``, bitwise the per-mode
-    sums, with each of ``workers`` threads taking a slice of the columns.
+    sums, the columns split into at most ``workers`` slices and no more
+    slices than columns, one thread each.
     """
-    eps_i, eps_f, cold = spectra
+    eps_i, eps_f = spectra
     beta_c = config.beta_c
     beta_h = beta_ratio * beta_c
     if config.cycle_kind == "otto":
-        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
         if np.ndim(beta_h) == 2:
-            _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+            _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
         else:
-            parts = np.array_split(np.atleast_1d(beta_h), workers)
-            surfaces = _run(workers, lambda s: stirling_surface(
-                eps_i, eps_f, parts[s], beta_c, cold=cold), workers)
+            n = min(workers, np.size(beta_h))
+            parts = np.array_split(np.atleast_1d(beta_h), n)
+            surfaces = _run(n, lambda s: stirling_surface(eps_i, eps_f, parts[s], beta_c), n)
             shape = eps_f.shape[:-1] + np.shape(beta_h)
             W, Q_h = (np.concatenate(c, axis=1).reshape(shape) for c in zip(*surfaces))
         valid = stirling_engine_valid(W, Q_h)
@@ -251,7 +252,7 @@ def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> list[SweepRow]:
 def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
     """``fn(mu_ratios, beta_ratios)`` in batches of at most half a table's rows
     (one empty batch for no pairs), joined.  A batch builds its own spectra
-    and beta_c-only factors, so half a table keeps it within a table's memory."""
+    and mode-sum terms, so half a table keeps it within a table's memory."""
     mu = np.asarray(mu_ratios, dtype=float)
     br = np.asarray(beta_ratios, dtype=float)
     step = max(1, len(config.mu_ratio_grid) // 2)
@@ -262,16 +263,12 @@ def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
 def _point_table(config: SweepConfig, alpha, mu_ratios, beta_ratios) -> CycleTable:
     """Exact table rows of one chain at the pairs (mu_ratios[k], beta_ratios[k]).
 
-    Spectra and beta_c-only factors are built once per distinct mu ratio.
+    Spectra are built once per distinct mu ratio and gathered into one row
+    per pair, which the mode sums evaluate at its own beta ratio.
     """
     mu, rows = np.unique(mu_ratios, return_inverse=True)
-    eps_i, eps_f, cold = _spectra(config, alpha, mu)
-    if config.cycle_kind == "otto":
-        cold = cold[rows]
-    else:
-        t_ci, t_cf, w_c, Q_III = cold
-        cold = (t_ci, t_cf[rows], w_c[rows], Q_III[rows])
-    return _table(config, (eps_i, eps_f[rows], cold), np.asarray(beta_ratios, dtype=float)[:, None])
+    eps_i, eps_f = _spectra(config, alpha, mu)
+    return _table(config, (eps_i, eps_f[rows]), np.asarray(beta_ratios, dtype=float)[:, None])
 
 
 def _exact_ratios(config: SweepConfig, alpha, mu_ratios, beta_ratios):
@@ -306,8 +303,8 @@ def _otto_surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surf
     by per-mode sums.  The bound is doubled, so the margins also cover the
     rounding of the sums that test them.
     """
-    eps_i, eps_f, cold = spectra
-    Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, brs * config.beta_c, config.beta_c, cold=cold)
+    eps_i, eps_f = spectra
+    Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, brs * config.beta_c, config.beta_c)
     r = 2.0 * tol
     sure = (W > r) & (Q_h + Q_c > 2.0 * r) & (-Q_c > r)
     unsure = ~sure & (W >= -r) & (Q_h + Q_c >= -2.0 * r) & (-Q_c >= -r) & where
@@ -482,16 +479,19 @@ def _cusp_rounds(config: SweepConfig, walks, refine, probes, rel_tol=0.05):
 
 def _evaluate(config: SweepConfig, points):
     """Exact {"W": R_W, "eta": R_eta} at points (alpha, mu_ratio, beta_ratio),
-    one batched evaluation per alpha."""
-    out = {"W": np.empty(len(points)), "eta": np.empty(len(points))}
+    each distinct point evaluated once, in one batched evaluation per alpha."""
+    index = {}
+    back = [index.setdefault(p, len(index)) for p in points]
+    distinct = list(index)
+    out = {"W": np.empty(len(distinct)), "eta": np.empty(len(distinct))}
     groups = {}
-    for k, (alpha, _, _) in enumerate(points):
+    for k, (alpha, _, _) in enumerate(distinct):
         groups.setdefault(alpha, []).append(k)
     for alpha, ks in groups.items():
         _, R_W, R_eta = _exact_ratios(
-            config, alpha, [points[k][1] for k in ks], [points[k][2] for k in ks])
+            config, alpha, [distinct[k][1] for k in ks], [distinct[k][2] for k in ks])
         out["W"][ks], out["eta"][ks] = R_W, R_eta
-    return out
+    return {k: v[back] for k, v in out.items()}
 
 
 def _row(config: SweepConfig, alpha, brs, ref) -> list:

@@ -203,9 +203,9 @@ class TestOttoSurface:
            beta_ratios=beta_grids)
     def test_within_bound(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios):
         cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
-        eps_i, eps_f, cold = _spectra(cfg, alpha, mu_ratios)
+        eps_i, eps_f = _spectra(cfg, alpha, mu_ratios)
         beta_hs = np.asarray(beta_ratios) * beta_c
-        Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c, cold=cold)
+        Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c)
         for j, beta_h in enumerate(beta_hs):
             for got, want in zip((Q_h, Q_c, W), otto_mode_sums(eps_i, eps_f, beta_h, beta_c)):
                 assert np.all(np.abs(got[:, j] - want) <= tol[:, j])
@@ -292,17 +292,16 @@ class TestStirlingSurface:
         mu_ratios[-1] = 1.0  # the row where W is exactly 0
         cfg = sweep_config("stirling", L, 2.0, beta_c, mu_ratios)
         spectra = _spectra(cfg, alpha, mu_ratios)
-        eps_i, eps_f, cold = spectra
+        eps_i, eps_f = spectra
         brs = np.asarray(beta_ratios)
-        W, Q_h = stirling_surface(eps_i, eps_f, brs * beta_c, beta_c, cold=cold)
+        W, Q_h = stirling_surface(eps_i, eps_f, brs * beta_c, beta_c)
         table = _table(cfg, spectra, brs, workers)
         for j, beta_h in enumerate(brs * beta_c):
-            want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)[4:]
+            want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
             for got in (W, table.W):
                 assert np.array_equal(got[:, j], want_W)
             for got in (Q_h, table.Q_h):
                 assert np.array_equal(got[:, j], want_Q_h)
-        assert np.array_equal(stirling_surface(eps_i, eps_f, brs * beta_c, beta_c)[0], W)
 
     @settings(max_examples=25, deadline=None)
     @given(L=st.integers(2, 128).map(lambda n: 2 * n), alpha=alphas,

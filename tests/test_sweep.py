@@ -28,11 +28,9 @@ from lrkengine import (
     sweep_mu,
 )
 from lrkengine.cycles import (
-    otto_cold_terms,
     otto_engine_valid,
     otto_mode_sums,
     ratio_arrays,
-    stirling_cold_terms,
     stirling_engine_valid,
     stirling_mode_sums,
 )
@@ -64,7 +62,8 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             SweepConfig(cycle_kind="otto", base=BASE, beta_ratio_grid=(0.0, 0.5))
         for bad in ({"beta_c": math.nan}, {"beta_c": math.inf},
-                    {"mu_i": -1.0}, {"mu_i": math.nan}, {"mu_i": math.inf}):
+                    {"mu_i": -1.0}, {"mu_i": math.nan}, {"mu_i": math.inf},
+                    {"workers": 2.5}):
             with pytest.raises(InvalidParameterError):
                 SweepConfig(cycle_kind="otto", base=BASE, **bad)
         for alpha in (0.5, 1.0, math.nan):
@@ -248,6 +247,43 @@ class TestRegions:
         assert np.array_equal(serial.mask, parallel.mask)
         assert serial.excluded == parallel.excluded
 
+    def test_column_split_capped(self, monkeypatch):
+        # Eight workers on three Stirling beta columns run at most three
+        # column tasks, and give the mask of one worker.
+        cfg = config(kind="stirling", mu_steps=21, beta_ratio_grid=(0.2, 0.3, 0.4))
+        serial = enhancement_regions(cfg, 1.5)
+        run, calls = sweep._run, []
+
+        def counting(workers, fn, n):
+            calls.append((workers, n))
+            return run(1, fn, n)
+
+        monkeypatch.setattr(sweep, "_run", counting)
+        capped = enhancement_regions(replace(cfg, workers=8), 1.5)
+        assert calls and all(w <= 3 and n <= 3 for w, n in calls)
+        assert np.array_equal(capped.mask, serial.mask)
+        assert capped.excluded == serial.excluded
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_each_distinct_point_once(self, kind, monkeypatch):
+        # Repeated probe points are evaluated once each and keep their bits.
+        cfg = config(kind=kind, mu_steps=21)
+        pts = [(1.5, 0.325, 0.2), (1.5, 0.675, 0.41), (3.0, 0.325, 0.2), (1.5, 0.325, 0.45)]
+        once = sweep._evaluate(cfg, pts)
+        point_table, rows = sweep._point_table, []
+
+        def counting(config, alpha, mu_ratios, beta_ratios):
+            rows.append(len(mu_ratios))
+            return point_table(config, alpha, mu_ratios, beta_ratios)
+
+        monkeypatch.setattr(sweep, "_point_table", counting)
+        twice = sweep._evaluate(cfg, pts + pts)
+        assert sum(rows) == 2 * len(pts)  # one long- and one short-range row each
+        for k in ("W", "eta"):
+            assert twice[k].tobytes() == np.concatenate([once[k], once[k]]).tobytes()
+
 
 class TestOptimalCondition:
     def small(self, kind, workers=1):
@@ -303,19 +339,18 @@ def oracle_spectra(config, alpha, mu_ratios):
     base = replace(config.base, alpha=float(alpha))
     eps_i = chain.spectrum_energies(base, config.mu_i)
     eps_f = chain.spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
-    cold_terms = otto_cold_terms if config.cycle_kind == "otto" else stirling_cold_terms
-    return eps_i, eps_f, cold_terms(eps_i, eps_f, config.beta_c)
+    return eps_i, eps_f
 
 
 def oracle_table(config, spectra, beta_ratio):
-    eps_i, eps_f, cold = spectra
+    eps_i, eps_f = spectra
     beta_c = config.beta_c
     beta_h = beta_ratio * beta_c
     if config.cycle_kind == "otto":
-        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c, cold=cold)
+        _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return W, Q_h, eta, valid
