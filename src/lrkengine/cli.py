@@ -153,10 +153,18 @@ def _load_config_file(path):
     return dict(parser.items("lrk"))
 
 
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
 def _file_value(action, key, raw):
     """A config-file value parsed with the ``type`` and ``choices`` of its flag."""
-    if action.nargs == 0:  # an on/off flag
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+    if action.nargs == 0:  # an on/off flag; off counts as absent
+        word = raw.strip().lower()
+        if word in _ON:
+            return True
+        if word in _OFF:
+            return None
+        raise ConfigError(f"config key {key!r}: {raw!r} is not one of {list(_ON + _OFF)}")
     try:
         value = action.type(raw) if action.type is not None else raw
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
@@ -171,8 +179,15 @@ def _resolve(args, subparser):
 
     Only the subcommand's own flags are keys: a config key for any other
     flag is unknown, and only flags the subcommand declares get defaults.
+    ``LRK_WORKERS`` ranks between the ``--workers`` flag and the config file.
     """
     resolved = dict(args.__dict__)
+    env_workers = os.environ.get("LRK_WORKERS")
+    if env_workers and "workers" in resolved and resolved["workers"] is None:
+        try:
+            resolved["workers"] = int(env_workers)
+        except ValueError as exc:
+            raise ConfigError(f"LRK_WORKERS must be an integer, got {env_workers!r}") from exc
     if resolved.get("config"):
         actions = {a.dest: a for a in subparser._actions}
         file_vals = _load_config_file(resolved["config"])
@@ -183,56 +198,40 @@ def _resolve(args, subparser):
             if resolved[key] is not None:
                 continue  # explicit flag wins
             resolved[key] = _file_value(actions[key], key, raw)
-    unread_keys = _unread_keys(args.subcommand, resolved)
-    unread = [k for k in unread_keys if resolved.get(k) is not None]
+    unread = [k for k in _unread_keys(args.subcommand, resolved) if resolved.get(k) is not None]
     if unread:
         flags = ", ".join("--" + k.replace("_", "-") for k in unread)
         raise ConfigError(f"this run does not read {flags}")
     for key, val in _DEFAULTS.items():
         if key in resolved and resolved[key] is None:
             resolved[key] = val
-    env_workers = os.environ.get("LRK_WORKERS")
-    if env_workers and "workers" in resolved and "workers" not in unread_keys:
-        try:
-            resolved["workers"] = int(env_workers)
-        except ValueError as exc:
-            raise ConfigError(f"LRK_WORKERS must be an integer, got {env_workers!r}") from exc
     return resolved
 
 
 #: Flags of ``reproduce-figure`` that each figure does not read; figures 1
 #: and 3 fix their chains and grids.
-_FIXED_FIGURE = ("L", "mu_i", "beta_c", "beta_ratio", "mu_steps", "workers", "dense")
+_FIXED_FIGURE = ("L", "mu_i", "beta_c", "beta_ratio", "mu_steps", "dense")
 _FIGURE_UNREAD = {
     1: _FIXED_FIGURE,
     3: _FIXED_FIGURE,
-    4: ("beta_c", "workers"),
-    5: ("beta_c", "mu_steps", "workers"),
-    6: ("beta_ratio", "workers"),
-    7: ("beta_c", "beta_ratio", "workers", "dense"),
-    8: ("beta_c", "workers"),
-    9: ("beta_c", "mu_steps", "workers"),
-    10: ("beta_ratio", "workers"),
+    4: ("beta_c",),
+    5: ("beta_c", "mu_steps"),
+    6: ("beta_ratio",),
+    7: ("beta_c", "beta_ratio", "dense"),
+    8: ("beta_c",),
+    9: ("beta_c", "mu_steps"),
+    10: ("beta_ratio",),
 }
 
 
 def _unread_keys(subcommand, res):
-    """Keys of flags the subcommand declares but this run would ignore.
-
-    One ``sweep_mu`` table takes no worker pool, so ``sweep`` and
-    ``--sweep-mu`` runs do not read ``workers``; nor do Otto region maps,
-    which are decided on one surface per chain.
-    """
+    """Keys of flags the subcommand declares but this run would ignore."""
     if subcommand == "reproduce-figure":
         return _FIGURE_UNREAD.get(res["figure"], ())
-    if subcommand == "sweep":
-        return ("workers",)
-    if subcommand == "regions" and (res.get("cycle") or _DEFAULTS["cycle"]) == "otto":
-        return ("workers",)
     if subcommand in CYCLE_KINDS:
         if res.get("sweep_mu"):
-            return ("mu_f", "mu_ratio", "workers")
-        unread = ("plots", "mu_steps", "workers")
+            return ("mu_f", "mu_ratio")
+        unread = ("plots", "mu_steps")
         return unread + ("mu_ratio",) if res.get("mu_f") is not None else unread
     return ()
 
@@ -275,7 +274,6 @@ def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
         mu_ratio_grid=tuple(mu_ratio_grid if mu_ratio_grid is not None
                             else np.linspace(0.0, 1.0, int(res["mu_steps"]))),
         beta_c=float(res["beta_c"] if beta_c is None else beta_c),
-        workers=int(res["workers"]),
     )
 
 
@@ -395,7 +393,7 @@ def _region_csv(path, region):
 
 def _cmd_optimal(res, outdir):
     kind = res["cycle"]
-    cfg = _sweep_config(res, kind)
+    cfg = replace(_sweep_config(res, kind), workers=int(res["workers"]))
     oc = optimal_condition(cfg)
     name = "optimal.json"
     _write_json(os.path.join(outdir, name), {
@@ -598,9 +596,8 @@ def _build_parser():
     mu_steps = _flag("--mu-steps", type=_positive_int)
     plots = _flag("--plots", action="store_const", const=True, default=None,
                   help="also emit gnuplot scripts")
-    # the sweep grid: mu_i, the mu_f/mu_i steps, beta_c and the worker count
-    grid = [_flag("--mu-i", type=float), mu_steps, _flag("--beta-c", type=float),
-            _flag("--workers", type=int)]
+    # the sweep grid: mu_i, the mu_f/mu_i steps and beta_c
+    grid = [_flag("--mu-i", type=float), mu_steps, _flag("--beta-c", type=float)]
 
     parser = argparse.ArgumentParser(prog="lrk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lrk {__version__}")
@@ -624,7 +621,8 @@ def _build_parser():
     p.add_argument("--format", choices=("csv", "json"))
 
     sub.add_parser("regions", parents=[common, cycle, alpha, *grid, plots])
-    sub.add_parser("optimal", parents=[common, cycle, *grid])
+    p = sub.add_parser("optimal", parents=[common, cycle, *grid])
+    p.add_argument("--workers", type=int, help="threads over the alpha rows")
 
     p = sub.add_parser("reproduce-figure", parents=[common, *grid, beta_ratio])
     p.add_argument("figure", type=int)
@@ -648,7 +646,10 @@ _DISPATCH = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help or --version (0)
+        return exc.code
     t0 = time.monotonic()
     try:
         res = _resolve(args, subparsers[args.subcommand])

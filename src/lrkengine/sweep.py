@@ -1,12 +1,12 @@
 """Grid sweeps over cycle parameters: ratio curves, maximum-ratio surfaces,
 enhancement-region masks, and optimal-condition search.
 
-All sweeps are deterministic: grid points are evaluated independently and
-written into preallocated tables indexed by grid coordinates, so the result
-is identical for any worker count.  Each comparison is a long-range cycle
-against its short-range twin, which does not depend on alpha.  Ratios follow
-``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
-when both chains are engine-valid.
+All sweeps are deterministic.  Only the alpha rows of ``max_ratio_grid`` (and
+so of ``optimal_condition``) run on a thread pool, each row into its own slot,
+so the result is identical for any worker count.  Each comparison is a
+long-range cycle against its short-range twin, which does not depend on
+alpha.  Ratios follow ``cycles.ratio_arrays`` and a cell counts toward a
+maximum or a region only when both chains are engine-valid.
 
 Every entry builds its short-range side once per call, and no state
 outlives a call.  ``sweep_mu`` takes one alpha or an array of them and
@@ -85,8 +85,10 @@ class SweepConfig:
             raise InvalidParameterError(f"unknown cycle kind {self.cycle_kind!r}")
         if not isinstance(self.workers, (int, np.integer)):
             raise InvalidParameterError(f"workers must be an integer, got {self.workers!r}")
-        if not (0.0 < self.beta_c < math.inf) or self.workers < 1:
-            raise InvalidParameterError("beta_c must be finite and > 0, and workers >= 1")
+        if self.workers < 1:
+            raise InvalidParameterError(f"workers must be >= 1, got {self.workers}")
+        if not (0.0 < self.beta_c < math.inf):
+            raise InvalidParameterError(f"beta_c must be finite and > 0, got {self.beta_c}")
         if not (0.0 <= self.mu_i < math.inf):
             raise InvalidParameterError(f"mu_i must be finite and >= 0, got {self.mu_i}")
         for name, grid, lo, hi in (
@@ -187,15 +189,14 @@ def _spectra(config: SweepConfig, alpha, mu_ratios):
     return eps_i, spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
 
 
-def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
+def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
     """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c.
 
     ``beta_ratio`` may be a column of one value per spectrum row; each row
     is then bitwise the row of the table at its own beta ratio.  Stirling
     also takes a 1-D array of beta ratios, for a column per beta ratio.  Its
     scalar and 1-D cases come from ``stirling_surface``, bitwise the per-mode
-    sums, the columns split into at most ``workers`` slices and no more
-    slices than columns, one thread each.
+    sums.
     """
     eps_i, eps_f = spectra
     beta_c = config.beta_c
@@ -207,11 +208,9 @@ def _table(config: SweepConfig, spectra, beta_ratio, workers=1) -> CycleTable:
         if np.ndim(beta_h) == 2:
             _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
         else:
-            n = min(workers, np.size(beta_h))
-            parts = np.array_split(np.atleast_1d(beta_h), n)
-            surfaces = _run(n, lambda s: stirling_surface(eps_i, eps_f, parts[s], beta_c), n)
             shape = eps_f.shape[:-1] + np.shape(beta_h)
-            W, Q_h = (np.concatenate(c, axis=1).reshape(shape) for c in zip(*surfaces))
+            surface = stirling_surface(eps_i, eps_f, np.atleast_1d(beta_h), beta_c)
+            W, Q_h = (c.reshape(shape) for c in surface)
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
@@ -388,17 +387,16 @@ def _reference(config: SweepConfig, brs):
     return _table(config, spectra, brs)
 
 
-def _grid(config: SweepConfig, alpha, brs, ref, workers=1) -> _Grid:
+def _grid(config: SweepConfig, alpha, brs, ref) -> _Grid:
     """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``.
 
-    Otto cells are screened on the surfaces; the Stirling table is exact,
-    its beta columns split among ``workers`` threads.
+    Otto cells are screened on the surfaces; the Stirling table is exact.
     """
     spectra = _spectra(config, alpha, config.mu_ratio_grid)
     if config.cycle_kind == "otto":
         lr = _otto_surface(config, alpha, spectra, brs, where=ref.valid)
         return _Grid.screened(config, alpha, brs, lr, ref)
-    return _Grid.exact_tables(config, alpha, brs, _table(config, spectra, brs, workers), ref)
+    return _Grid.exact_tables(config, alpha, brs, _table(config, spectra, brs), ref)
 
 
 class _Walk:
@@ -563,14 +561,6 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
     return point
 
 
-def _run(workers, fn, n):
-    """``[fn(0), .., fn(n - 1)]``, called on ``workers`` threads when above one."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
-
-
 def max_ratio_grid(config: SweepConfig) -> list:
     """``max_ratios`` at every cell of ``config.alpha_grid`` x ``config.beta_ratio_grid``:
     one list per alpha, with None where ``max_ratios`` would raise
@@ -582,8 +572,11 @@ def max_ratio_grid(config: SweepConfig) -> list:
     """
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
     ref = _reference(config, brs)  # built serially, so the workers only read it
-    rows = _run(config.workers, lambda i: _row(config, config.alpha_grid[i], brs, ref),
-                len(config.alpha_grid))
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            rows = list(pool.map(lambda a: _row(config, a, brs, ref), config.alpha_grid))
+    else:
+        rows = [_row(config, a, brs, ref) for a in config.alpha_grid]
     return [[None if isinstance(p, InsufficientDataError) else p for p in row] for row in rows]
 
 
@@ -591,12 +584,11 @@ def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
     Otto decides the mask on the surfaces and refines the cells whose
-    bands straddle 1; Stirling evaluates its surface with each worker taking
-    a slice of the beta ratios.
+    bands straddle 1; Stirling evaluates its exact surface.
     """
     _check_alpha(alpha)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    grid = _grid(config, alpha, brs, _reference(config, brs), workers=config.workers)
+    grid = _grid(config, alpha, brs, _reference(config, brs))
     return RegionMap(
         mu_ratio_grid=np.asarray(config.mu_ratio_grid, dtype=float),
         beta_ratio_grid=brs,

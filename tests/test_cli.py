@@ -48,14 +48,6 @@ def run(tmp_path, *argv):
     return code, out
 
 
-def exit_code(tmp_path, *argv):
-    """The exit status of ``lrk argv``: returned by main, or raised by argparse."""
-    try:
-        return run(tmp_path, *argv)[0]
-    except SystemExit as exc:
-        return exc.code
-
-
 def write_config(tmp_path, entries):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lrk]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
@@ -226,7 +218,7 @@ class TestExitCodes:
         ["sweep", "--alpha", "1.5", "--L", "200", "--mu-steps", "-3"],
     ])
     def test_mu_steps_not_positive(self, tmp_path, argv):
-        assert exit_code(tmp_path, *argv) == EXIT_CONFIG
+        assert run(tmp_path, *argv)[0] == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--alpha", "1.5", "--L", "200", "--format", "json"],
@@ -235,7 +227,26 @@ class TestExitCodes:
         ["spectrum", "--alpha", "1.5", "--L", "200", "--workers", "2"],
     ])
     def test_flag_of_another_subcommand(self, tmp_path, argv):
-        assert exit_code(tmp_path, *argv) == EXIT_CONFIG
+        assert run(tmp_path, *argv)[0] == EXIT_CONFIG
+
+    def test_usage_errors_return_codes(self, tmp_path, capsys):
+        # argparse's exits come back as main's return value, not SystemExit;
+        # an unknown flag is test_flag_of_another_subcommand.
+        out = str(tmp_path / "out")
+        assert main(["regions", "--cycle", "carnot", "--alpha", "1.5", "-o", out]) == EXIT_CONFIG
+        assert main(["--version"]) == EXIT_OK
+        assert main(["optimal", "--help"]) == EXIT_OK
+        assert not (tmp_path / "out").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--beta-c", "nan"], "beta_c must be finite and > 0, got nan"),
+    ])
+    def test_config_error_names_field(self, tmp_path, capsys, flag, field):
+        code, _ = run(tmp_path, "optimal", *flag, "--L", "20", "--mu-steps", "11")
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("figure, flag", [
         *[(n, flag) for n in (1, 3) for flag in (
@@ -275,22 +286,16 @@ class TestExitCodes:
         ["stirling", "--sweep-mu"],
         ["regions", "--cycle", "otto"],
         ["regions"],
+        ["regions", "--cycle", "stirling"],
     ])
     def test_sweep_workers_not_read(self, tmp_path, argv):
-        # One sweep_mu table, and an Otto region map decided on one surface
-        # per chain, take no worker pool: neither the flag nor the config
-        # key is read.
+        # Only optimal runs a worker pool: neither the flag nor the config
+        # key is accepted anywhere else.
         cfg = write_config(tmp_path, {"workers": "2"})
         for extra in (["--workers", "2"], ["--config", cfg]):
             code, out = run(tmp_path, *argv, "--alpha", "1.5", *extra, *FAST)
             assert code == EXIT_CONFIG
             assert not out.exists() or not any(out.iterdir())
-
-    def test_stirling_regions_reads_workers(self, tmp_path):
-        code, out = run(tmp_path, "regions", "--cycle", "stirling", "--alpha", "1.5",
-                        "--workers", "2", *FAST)
-        assert code == EXIT_OK
-        assert json.loads((out / "run-manifest.json").read_text())["inputs"]["workers"] == 2
 
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "format", "json"), ("winding", "plots", "1"),
@@ -332,6 +337,35 @@ class TestConfigFile:
         w2 = json.loads((out2 / "otto.json").read_text())["W"]
         assert w1 != w2
 
+    @pytest.mark.parametrize("value", ["ture", "2", "enabled"])
+    def test_bad_on_off_value(self, tmp_path, value):
+        cfg = write_config(tmp_path, {"plots": value})
+        code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.5",
+                        "--config", cfg, *FAST)
+        assert code == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("on, off", [("1", "0"), ("True", "False"), ("yes", "no"),
+                                         ("ON", "Off")])
+    def test_on_off_values(self, tmp_path, on, off):
+        # An off value counts as absent, so otto, which does not read
+        # --plots, runs with it and rejects the on value.
+        for value, gp, otto in ((on, True, EXIT_CONFIG), (off, False, EXIT_OK)):
+            cfg = write_config(tmp_path, {"plots": value})
+            code, out = run(tmp_path / "regions" / value, "regions", "--cycle", "otto",
+                            "--alpha", "1.5", "--config", cfg, *FAST)
+            assert code == EXIT_OK
+            assert (out / "regions.gp").exists() == gp
+            code, _ = run(tmp_path / "otto" / value, "otto", "--alpha", "1.5", "--L", "200",
+                          "--config", cfg)
+            assert code == otto
+
+    def test_workers_only_on_optimal(self):
+        _, subparsers = _build_parser()
+        have = {name for name, sub in subparsers.items()
+                if any(a.dest == "workers" for a in sub._actions)}
+        assert have == {"optimal"}
+
     def test_every_flag_is_a_config_key(self, tmp_path):
         # Each flag a subcommand declares is a config key spelled as the
         # flag; a run may still reject the key as unread or its value.
@@ -357,18 +391,33 @@ class TestConfigFile:
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert manifest["inputs"]["workers"] == 3
 
+    def test_workers_precedence(self, tmp_path, monkeypatch):
+        # The --workers flag, then LRK_WORKERS, then the config file.
+        cfg = write_config(tmp_path, {"workers": "2"})
+
+        def recorded(name, *extra):
+            code, out = run(tmp_path / name, "optimal", "--cycle", "otto", "--L", "20",
+                            "--mu-steps", "11", "--config", cfg, *extra)
+            assert code == EXIT_OK
+            return json.loads((out / "run-manifest.json").read_text())["inputs"]["workers"]
+
+        monkeypatch.setenv("LRK_WORKERS", "5")
+        assert recorded("flag", "--workers", "1") == 1
+        assert recorded("env") == 5
+        monkeypatch.delenv("LRK_WORKERS")
+        assert recorded("file") == 2
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--cycle", "otto"],
         ["regions", "--cycle", "otto"],
     ])
     def test_env_workers_only_where_read(self, tmp_path, monkeypatch, argv):
-        # A run that does not read the worker count records the default,
-        # not LRK_WORKERS.
+        # A run that does not read the worker count records none.
         monkeypatch.setenv("LRK_WORKERS", "3")
         code, out = run(tmp_path, *argv, "--alpha", "1.05", *FAST)
         assert code == EXIT_OK
         manifest = json.loads((out / "run-manifest.json").read_text())
-        assert manifest["inputs"]["workers"] == 1
+        assert "workers" not in manifest["inputs"]
 
 
 class TestManifest:

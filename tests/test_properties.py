@@ -7,7 +7,6 @@ must stay bitwise equal to the direct formulas.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from lrkengine import (
     SweepConfig,
     chain,
     cycles,
-    enhancement_regions,
     sweep_mu,
     winding_number,
 )
@@ -274,16 +272,15 @@ class TestStirlingSurface:
     @given(L=st.integers(2, 2048).map(lambda n: 2 * n), alpha=alphas_or_sr,
            beta_c=st.floats(0.05, 5.0), beta_ratios=beta_grids,
            rows=st.sampled_from(["below", "equal", "not a multiple"]),
-           seed=st.integers(0, 2**32 - 1), workers=st.integers(1, 3))
+           seed=st.integers(0, 2**32 - 1))
     @example(L=4, alpha=SHORT_RANGE, beta_c=5.0, beta_ratios=[0.5], rows="not a multiple",
-             seed=0, workers=2)
+             seed=0)
     @example(L=4096, alpha=1.05, beta_c=0.05, beta_ratios=[0.01, 0.99], rows="equal",
-             seed=1, workers=3)
-    def test_bitwise_mode_sums(self, L, alpha, beta_c, beta_ratios, rows, seed, workers):
+             seed=1)
+    def test_bitwise_mode_sums(self, L, alpha, beta_c, beta_ratios, rows, seed):
         # Every W and Q_h cell equals its row of stirling_mode_sums bitwise,
         # whether the mu rows fill less than one block, exactly one, or end
-        # in a partial block; the sweep tables split the beta columns among
-        # the workers and keep the bits.
+        # in a partial block, and so does the sweep table built on it.
         b = block_rows(L)
         rng = np.random.default_rng(seed)
         n_mu = {"below": int(rng.integers(1, b)), "equal": b,
@@ -295,28 +292,13 @@ class TestStirlingSurface:
         eps_i, eps_f = spectra
         brs = np.asarray(beta_ratios)
         W, Q_h = stirling_surface(eps_i, eps_f, brs * beta_c, beta_c)
-        table = _table(cfg, spectra, brs, workers)
+        table = _table(cfg, spectra, brs)
         for j, beta_h in enumerate(brs * beta_c):
             want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
             for got in (W, table.W):
                 assert np.array_equal(got[:, j], want_W)
             for got in (Q_h, table.Q_h):
                 assert np.array_equal(got[:, j], want_Q_h)
-
-    @settings(max_examples=25, deadline=None)
-    @given(L=st.integers(2, 128).map(lambda n: 2 * n), alpha=alphas,
-           beta_c=st.sampled_from([5.0, 0.05, 1.0]),
-           mu_ratios=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=24).map(sorted),
-           beta_ratios=beta_grids)
-    def test_regions_any_workers(self, L, alpha, beta_c, mu_ratios, beta_ratios):
-        # Each worker evaluates a slice of the beta columns; the map is the same.
-        cfg = SweepConfig(cycle_kind="stirling", base=ChainParams(L=L, alpha=2.0), mu_i=2.0,
-                          mu_ratio_grid=tuple(mu_ratios), beta_c=beta_c,
-                          beta_ratio_grid=tuple(beta_ratios))
-        maps = [enhancement_regions(replace(cfg, workers=w), alpha) for w in (1, 2, 3)]
-        for m in maps[1:]:
-            assert np.array_equal(m.mask, maps[0].mask)
-            assert m.excluded == maps[0].excluded
 
 
 def columns(rows):

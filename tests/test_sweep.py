@@ -63,7 +63,7 @@ class TestConfigValidation:
             SweepConfig(cycle_kind="otto", base=BASE, beta_ratio_grid=(0.0, 0.5))
         for bad in ({"beta_c": math.nan}, {"beta_c": math.inf},
                     {"mu_i": -1.0}, {"mu_i": math.nan}, {"mu_i": math.inf},
-                    {"workers": 2.5}):
+                    {"workers": 2.5}, {"workers": 0}):
             with pytest.raises(InvalidParameterError):
                 SweepConfig(cycle_kind="otto", base=BASE, **bad)
         for alpha in (0.5, 1.0, math.nan):
@@ -229,40 +229,12 @@ class TestRegions:
         region = enhancement_regions(cfg, 1.5)
         assert not region.mask.any()
 
-    def test_spectra_built_once_before_pool(self):
-        # One pairing build for the alpha and one for SHORT_RANGE, however
-        # many threads evaluate the columns.
-        cfg = config(mu_steps=21, beta_ratio_grid=tuple(np.linspace(0.1, 0.9, 9)), workers=2)
+    def test_spectra_built_once(self):
+        # One pairing build for the alpha and one for SHORT_RANGE.
+        cfg = config(mu_steps=21, beta_ratio_grid=tuple(np.linspace(0.1, 0.9, 9)))
         chain._grid_pairing.cache_clear()
         enhancement_regions(cfg, 1.37)
         assert chain._grid_pairing.cache_info().misses == 2
-
-    @pytest.mark.parametrize("kind", ["otto", "stirling"])
-    def test_deterministic_across_workers(self, kind):
-        grid = tuple(np.linspace(0.1, 0.9, 9))
-        serial = enhancement_regions(
-            config(kind=kind, mu_steps=41, beta_ratio_grid=grid, workers=1), 1.5)
-        parallel = enhancement_regions(
-            config(kind=kind, mu_steps=41, beta_ratio_grid=grid, workers=4), 1.5)
-        assert np.array_equal(serial.mask, parallel.mask)
-        assert serial.excluded == parallel.excluded
-
-    def test_column_split_capped(self, monkeypatch):
-        # Eight workers on three Stirling beta columns run at most three
-        # column tasks, and give the mask of one worker.
-        cfg = config(kind="stirling", mu_steps=21, beta_ratio_grid=(0.2, 0.3, 0.4))
-        serial = enhancement_regions(cfg, 1.5)
-        run, calls = sweep._run, []
-
-        def counting(workers, fn, n):
-            calls.append((workers, n))
-            return run(1, fn, n)
-
-        monkeypatch.setattr(sweep, "_run", counting)
-        capped = enhancement_regions(replace(cfg, workers=8), 1.5)
-        assert calls and all(w <= 3 and n <= 3 for w, n in calls)
-        assert np.array_equal(capped.mask, serial.mask)
-        assert capped.excluded == serial.excluded
 
 
 class TestEvaluate:
