@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from . import __version__
 from .chain import (
     SHORT_RANGE,
     ChainParams,
-    DegenerateModeError,
     GaplessConfigurationError,
     InvalidParameterError,
     momentum_grid,
@@ -30,8 +30,7 @@ from .chain import (
     spectrum_scan,
     winding_number,
 )
-from .cycles import BathPair, ContractViolationError, CycleSpec, otto_cycle, stirling_cycle
-from .oracle import EigensolverError, OracleScaleError
+from .cycles import BathPair, CycleSpec, otto_cycle, stirling_cycle
 from .sweep import (
     CYCLE_KINDS,
     InsufficientDataError,
@@ -50,14 +49,7 @@ EXIT_IO = 4
 #: Representative alpha values used for figure panels spanning [1.05, 6].
 ALPHA_PANEL = (1.05, 1.2, 1.5, 2.0, 3.0, 6.0)
 
-CONTRACT_ERRORS = (
-    InsufficientDataError,
-    GaplessConfigurationError,
-    DegenerateModeError,
-    ContractViolationError,
-    EigensolverError,
-    OracleScaleError,
-)
+CONTRACT_ERRORS = (InsufficientDataError, GaplessConfigurationError)
 
 
 class ConfigError(ValueError):
@@ -177,8 +169,9 @@ def _file_value(action, key, raw):
 def _resolve(args, subparser):
     """Merge defaults, config-file values, and explicit flags (flags win).
 
-    Only the subcommand's own flags are keys: a config key for any other
-    flag is unknown, and only flags the subcommand declares get defaults.
+    Only the flags of ``subparser``, the parser that read ``args`` (one
+    figure's, for ``reproduce-figure``), are keys: a config key for any other
+    flag is unknown, and only flags the parser declares get defaults.
     ``LRK_WORKERS`` ranks between the ``--workers`` flag and the config file.
     """
     resolved = dict(args.__dict__)
@@ -189,51 +182,20 @@ def _resolve(args, subparser):
         except ValueError as exc:
             raise ConfigError(f"LRK_WORKERS must be an integer, got {env_workers!r}") from exc
     if resolved.get("config"):
-        actions = {a.dest: a for a in subparser._actions}
+        # the flags of this run: not --help, nor the subcommand or figure that chose it
+        actions = {a.dest: a for a in subparser._actions if a.dest in resolved}
         file_vals = _load_config_file(resolved["config"])
         for key, raw in file_vals.items():
             key = key.replace("-", "_")
-            if key not in resolved:
+            if key not in actions:
                 raise ConfigError(f"unknown config key {key!r}")
             if resolved[key] is not None:
                 continue  # explicit flag wins
             resolved[key] = _file_value(actions[key], key, raw)
-    unread = [k for k in _unread_keys(args.subcommand, resolved) if resolved.get(k) is not None]
-    if unread:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-        raise ConfigError(f"this run does not read {flags}")
     for key, val in _DEFAULTS.items():
         if key in resolved and resolved[key] is None:
             resolved[key] = val
     return resolved
-
-
-#: Flags of ``reproduce-figure`` that each figure does not read; figures 1
-#: and 3 fix their chains and grids.
-_FIXED_FIGURE = ("L", "mu_i", "beta_c", "beta_ratio", "mu_steps", "dense")
-_FIGURE_UNREAD = {
-    1: _FIXED_FIGURE,
-    3: _FIXED_FIGURE,
-    4: ("beta_c",),
-    5: ("beta_c", "mu_steps"),
-    6: ("beta_ratio",),
-    7: ("beta_c", "beta_ratio", "dense"),
-    8: ("beta_c",),
-    9: ("beta_c", "mu_steps"),
-    10: ("beta_ratio",),
-}
-
-
-def _unread_keys(subcommand, res):
-    """Keys of flags the subcommand declares but this run would ignore."""
-    if subcommand == "reproduce-figure":
-        return _FIGURE_UNREAD.get(res["figure"], ())
-    if subcommand in CYCLE_KINDS:
-        if res.get("sweep_mu"):
-            return ("mu_f", "mu_ratio")
-        unread = ("plots", "mu_steps")
-        return unread + ("mu_ratio",) if res.get("mu_f") is not None else unread
-    return ()
 
 
 _DEFAULTS = {
@@ -324,27 +286,16 @@ def _cmd_winding(res, outdir):
 def _cmd_cycle(res, outdir, kind):
     base = _base(res)
     mu_i = float(res["mu_i"])
-    if res.get("mu_f") is not None:
+    if res["mu_f"] is not None:
+        if res["mu_ratio"] is not None:
+            raise ConfigError("give --mu-f or --mu-ratio, not both")
         mu_f = float(res["mu_f"])
-    elif res.get("mu_ratio") is not None:
+    elif res["mu_ratio"] is not None:
         mu_f = float(res["mu_ratio"]) * mu_i
     else:
         mu_f = 0.5 * mu_i
     beta_c = float(res["beta_c"])
     baths = BathPair(beta_h=float(res["beta_ratio"]) * beta_c, beta_c=beta_c)
-    if res.get("sweep_mu"):
-        cfg = _sweep_config(res, kind)
-        rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
-        name = f"{kind}-sweep.csv"
-        _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
-        files = [name]
-        if res.get("plots"):
-            gp = f"{kind}-sweep.gp"
-            _plot_script(os.path.join(outdir, gp), f"{kind} ratios",
-                         "mu_f/mu_i", "ratio",
-                         f"'{name}' using 1:2 with lines, '{name}' using 1:3 with lines")
-            files.append(gp)
-        return files
     spec = CycleSpec(base=base, mu_i=mu_i, mu_f=mu_f, baths=baths)
     result = otto_cycle(spec) if kind == "otto" else stirling_cycle(spec)
     name = f"{kind}.json"
@@ -353,6 +304,8 @@ def _cmd_cycle(res, outdir, kind):
 
 
 def _cmd_sweep(res, outdir):
+    if res["plots"] and res["format"] == "json":
+        raise ConfigError("--plots draws sweep.csv, which --format json does not write")
     kind = res["cycle"]
     base = _base(res)
     cfg = _sweep_config(res, kind)
@@ -366,6 +319,10 @@ def _cmd_sweep(res, outdir):
     else:
         name = "sweep.csv"
         _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
+        if res["plots"]:
+            _plot_script(os.path.join(outdir, "sweep.gp"), f"{kind} ratios", "mu_f/mu_i",
+                         "ratio", f"'{name}' using 1:2 with lines, '{name}' using 1:3 with lines")
+            return [name, "sweep.gp"]
     return [name]
 
 
@@ -549,27 +506,23 @@ def _region_fig(res, outdir, kind, prefix):
     return files
 
 
-def _cmd_figure(res, outdir):
-    n = int(res["figure"])
-    if n == 1:
-        return _fig1(res, outdir)
-    if n == 3:
-        return _fig3(res, outdir)
-    if n == 4:
-        return _ratio_fig(res, outdir, "otto", "fig4")
-    if n == 5:
-        return _diag_fig(res, outdir, "otto", "fig5")
-    if n == 6:
-        return _maxratio_fig(res, outdir, "otto", "fig6")
-    if n == 7:
-        return _region_fig(res, outdir, "otto", "fig7")
-    if n == 8:
-        return _ratio_fig(res, outdir, "stirling", "fig8")
-    if n == 9:
-        return _diag_fig(res, outdir, "stirling", "fig9")
-    if n == 10:
-        return _maxratio_fig(res, outdir, "stirling", "fig10")
-    raise ConfigError(f"figure {n} has no computable content (supported: 1, 3-10)")
+_RATIO_READS = ("L", "mu_i", "mu_steps", "beta_ratio", "dense")
+_DIAG_READS = ("L", "mu_i", "beta_ratio", "dense")
+_MAXRATIO_READS = ("L", "mu_i", "mu_steps", "beta_c", "dense")
+
+#: Each computable figure's writer and the flags it reads beyond --config,
+#: -o, --J and --Delta, by config key; figures 1 and 3 fix their chains and grids.
+_FIGURES = {
+    1: (_fig1, ()),
+    3: (_fig3, ()),
+    4: (partial(_ratio_fig, kind="otto", prefix="fig4"), _RATIO_READS),
+    5: (partial(_diag_fig, kind="otto", prefix="fig5"), _DIAG_READS),
+    6: (partial(_maxratio_fig, kind="otto", prefix="fig6"), _MAXRATIO_READS),
+    7: (partial(_region_fig, kind="otto", prefix="fig7"), ("L", "mu_i", "mu_steps")),
+    8: (partial(_ratio_fig, kind="stirling", prefix="fig8"), _RATIO_READS),
+    9: (partial(_diag_fig, kind="stirling", prefix="fig9"), _DIAG_READS),
+    10: (partial(_maxratio_fig, kind="stirling", prefix="fig10"), _MAXRATIO_READS),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -577,58 +530,72 @@ def _cmd_figure(res, outdir):
 
 
 def _flag(*names, **kwargs):
-    """A parent parser declaring one flag, shared by the subcommands that read it."""
+    """A parent parser declaring one flag, shared by the runs that read it."""
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(*names, **kwargs)
     return parser
 
 
 def _build_parser():
+    """The ``lrk`` parser, and the parser of each run by the words that select it:
+    a subcommand, or ``reproduce-figure n``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file with a [lrk] section")
     common.add_argument("-o", "--output-dir", dest="output_dir")
-    common.add_argument("--L", type=int)
     common.add_argument("--J", type=float)
     common.add_argument("--Delta", type=float)
-    alpha = _flag("--alpha", type=_parse_alpha)
-    cycle = _flag("--cycle", choices=CYCLE_KINDS)
-    beta_ratio = _flag("--beta-ratio", type=float)
-    mu_steps = _flag("--mu-steps", type=_positive_int)
-    plots = _flag("--plots", action="store_const", const=True, default=None,
-                  help="also emit gnuplot scripts")
+    flags = {
+        "L": _flag("--L", type=int),
+        "alpha": _flag("--alpha", type=_parse_alpha),
+        "cycle": _flag("--cycle", choices=CYCLE_KINDS),
+        "mu_i": _flag("--mu-i", type=float),
+        "mu_steps": _flag("--mu-steps", type=_positive_int),
+        "beta_c": _flag("--beta-c", type=float),
+        "beta_ratio": _flag("--beta-ratio", type=float),
+        "plots": _flag("--plots", action="store_const", const=True, default=None,
+                       help="also emit gnuplot scripts"),
+        "dense": _flag("--dense", action="store_const", const=True, default=None,
+                       help="sample alpha with 100 log-spaced points instead of 6"),
+    }
     # the sweep grid: mu_i, the mu_f/mu_i steps and beta_c
-    grid = [_flag("--mu-i", type=float), mu_steps, _flag("--beta-c", type=float)]
+    grid = ("mu_i", "mu_steps", "beta_c")
+
+    def add(group, name, *reads):
+        return group.add_parser(name, parents=[common, *(flags[k] for k in reads)])
 
     parser = argparse.ArgumentParser(prog="lrk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lrk {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    runs = {}
 
-    p = sub.add_parser("spectrum", parents=[common, alpha, mu_steps, plots])
+    p = runs["spectrum"] = add(sub, "spectrum", "L", "alpha", "mu_steps", "plots")
     p.add_argument("--mu-min", type=float)
     p.add_argument("--mu-max", type=float)
 
-    p = sub.add_parser("winding", parents=[common, alpha])
+    p = runs["winding"] = add(sub, "winding", "L", "alpha")
     p.add_argument("--mu", type=float)
     p.add_argument("--grid-density", type=int)
 
     for kind in CYCLE_KINDS:
-        p = sub.add_parser(kind, parents=[common, alpha, *grid, beta_ratio, plots])
+        p = runs[kind] = add(sub, kind, "L", "alpha", "mu_i", "beta_c", "beta_ratio")
         p.add_argument("--mu-f", type=float)
         p.add_argument("--mu-ratio", type=float)
-        p.add_argument("--sweep-mu", action="store_const", const=True, default=None)
 
-    p = sub.add_parser("sweep", parents=[common, cycle, alpha, *grid, beta_ratio])
+    p = runs["sweep"] = add(sub, "sweep", "L", "cycle", "alpha", *grid, "beta_ratio", "plots")
     p.add_argument("--format", choices=("csv", "json"))
 
-    sub.add_parser("regions", parents=[common, cycle, alpha, *grid, plots])
-    p = sub.add_parser("optimal", parents=[common, cycle, *grid])
+    runs["regions"] = add(sub, "regions", "L", "cycle", "alpha", *grid, "plots")
+    p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
     p.add_argument("--workers", type=int, help="threads over the alpha rows")
 
-    p = sub.add_parser("reproduce-figure", parents=[common, *grid, beta_ratio])
-    p.add_argument("figure", type=int)
-    p.add_argument("--dense", action="store_const", const=True, default=None,
-                   help="sample alpha with 100 log-spaced points instead of 6")
-    return parser, sub.choices
+    figure = sub.add_parser(
+        "reproduce-figure", description="Regenerate the data behind figure n (1 or 3-10); "
+        "its flags follow n, and 'lrk reproduce-figure n --help' lists them.",
+    ).add_subparsers(dest="figure", metavar="n", required=True)
+    for n, (_, reads) in _FIGURES.items():
+        p = runs[f"reproduce-figure {n}"] = add(figure, str(n), *reads)
+        p.set_defaults(figure=n)
+    return parser, runs
 
 
 _DISPATCH = {
@@ -639,23 +606,24 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
     "regions": _cmd_regions,
     "optimal": _cmd_optimal,
-    "reproduce-figure": _cmd_figure,
+    **{f"reproduce-figure {n}": write for n, (write, _) in _FIGURES.items()},
 }
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = _build_parser()
+    parser, runs = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # a usage error (2), or --help or --version (0)
         return exc.code
+    run = f"{args.subcommand} {args.figure}" if "figure" in args else args.subcommand
     t0 = time.monotonic()
     try:
-        res = _resolve(args, subparsers[args.subcommand])
+        res = _resolve(args, runs[run])
         outdir = res["output_dir"]
         os.makedirs(outdir, exist_ok=True)
-        files = _DISPATCH[args.subcommand](res, outdir)
+        files = _DISPATCH[run](res, outdir)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lrk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

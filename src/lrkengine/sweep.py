@@ -109,10 +109,12 @@ class SweepConfig:
                 raise InvalidParameterError(f"{name} values out of range")
 
 
-def _check_alpha(alpha):
-    """The alpha argument of a sweep entry, a scalar or a 1-D array: each > 1,
-    as cycles require, or SHORT_RANGE."""
-    if np.ndim(alpha) > 1 or not np.all(np.asarray(alpha, dtype=float) > 1.0):
+def _check_alpha(alpha, ndim=0):
+    """The alpha argument of a sweep entry, a scalar or, where ``ndim`` is 1, a
+    1-D array: each > 1, as cycles require, or SHORT_RANGE."""
+    if np.ndim(alpha) > ndim:
+        raise InvalidParameterError(f"alpha must be {('a scalar', '1-D')[ndim]}, got {alpha!r}")
+    if not np.all(np.asarray(alpha, dtype=float) > 1.0):
         raise InvalidParameterError(f"sweeps require alpha > 1 or SHORT_RANGE, got {alpha}")
 
 
@@ -229,7 +231,7 @@ def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> list[SweepRow]:
     ``alpha`` is a scalar or a 1-D array; the rows run over the mu grid for
     each alpha in turn, every alpha against one short-range table.
     """
-    _check_alpha(alpha)
+    _check_alpha(alpha, ndim=1)
     _check_beta_ratio(beta_ratio)
     sr = _table(config, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
     rows = []

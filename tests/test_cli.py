@@ -165,6 +165,18 @@ class TestCsvFormat:
             f"{int(b)},{int(k)},{int(u)},{cell(f)},{t}\n" for b, k, u, f, t in zip(*columns))
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_sweep_plots(self, tmp_path, kind):
+        code, out = run(tmp_path, "sweep", "--cycle", kind, "--alpha", "1.5", "--plots", *FAST)
+        assert code == EXIT_OK
+        assert json.loads((out / "run-manifest.json").read_text())["outputs"] == [
+            "sweep.csv", "sweep.gp"]
+        header = (out / "sweep.csv").read_text().split("\n")[0].split(",")
+        assert header[1:3] == ["R_W", "R_eta"]
+        script = (out / "sweep.gp").read_text()
+        assert "set output 'sweep.png'" in script
+        assert "plot 'sweep.csv' using 1:2 with lines, 'sweep.csv' using 1:3 with lines\n" in script
+
     def test_regions_csv(self, tmp_path):
         code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.05",
                         "--beta-c", "5", *FAST)
@@ -264,6 +276,29 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("figure, flag", [
+        (n, flag) for n, reads in (
+            (1, ()), (3, ()),
+            (4, ("--L", "--mu-i", "--mu-steps", "--beta-ratio", "--dense")),
+            (5, ("--L", "--mu-i", "--beta-ratio", "--dense")),
+            (6, ("--L", "--mu-i", "--mu-steps", "--beta-c", "--dense")),
+            (7, ("--L", "--mu-i", "--mu-steps")),
+            (8, ("--L", "--mu-i", "--mu-steps", "--beta-ratio", "--dense")),
+            (9, ("--L", "--mu-i", "--beta-ratio", "--dense")),
+            (10, ("--L", "--mu-i", "--mu-steps", "--beta-c", "--dense")),
+        ) for flag in ("--config", "-o", "--J", "--Delta", *reads)
+    ])
+    def test_figure_reads_flag(self, figure, flag):
+        # The twin of test_figure_flag_not_read: figure n parses every flag
+        # that README's figure table says it reads.
+        value = {"--config": "run.ini", "-o": "out", "--L": "200", "--mu-steps": "21",
+                 "--dense": None}.get(flag, "0.5")
+        parser, runs = _build_parser()
+        args = parser.parse_args(["reproduce-figure", str(figure), flag]
+                                 + ([] if value is None else [value]))
+        dest = runs[f"reproduce-figure {figure}"]._option_string_actions[flag].dest
+        assert args.figure == figure and getattr(args, dest) is not None
+
     def test_figure_config_key_not_read(self, tmp_path):
         cfg = write_config(tmp_path, {"mu_steps": "21"})
         code, _ = run(tmp_path, "reproduce-figure", "5", "--config", cfg)
@@ -282,8 +317,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--cycle", "otto"],
         ["sweep", "--cycle", "stirling", "--format", "json"],
-        ["otto", "--sweep-mu"],
-        ["stirling", "--sweep-mu"],
+        ["sweep"],
+        ["sweep", "--cycle", "stirling", "--plots"],
         ["regions", "--cycle", "otto"],
         ["regions"],
         ["regions", "--cycle", "stirling"],
@@ -297,12 +332,40 @@ class TestExitCodes:
             assert code == EXIT_CONFIG
             assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("flags, entries", [
+        (["--mu-f", "1.0", "--mu-ratio", "0.5"], {}),
+        (["--mu-f", "1.0"], {"mu_ratio": "0.5"}),
+        (["--mu-ratio", "0.5"], {"mu-f": "1.0"}),
+    ])
+    def test_mu_f_with_mu_ratio(self, tmp_path, flags, entries):
+        # Both set mu_f, from flags or the config file, so the run is refused.
+        cfg = write_config(tmp_path, {"alpha": "1.5", "L": "200", **entries})
+        for kind in ("otto", "stirling"):
+            code, out = run(tmp_path / kind, kind, "--config", cfg, *flags)
+            assert code == EXIT_CONFIG
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_sweep_plots_with_json(self, tmp_path, capsys):
+        code, out = run(tmp_path, "sweep", "--alpha", "1.5", "--plots", "--format", "json", *FAST)
+        assert code == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+        assert "--plots" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand, key, value", [
         ("spectrum", "format", "json"), ("winding", "plots", "1"),
     ])
     def test_config_key_of_another_subcommand(self, tmp_path, subcommand, key, value):
         cfg = write_config(tmp_path, {"alpha": "1.5", "L": "200", key: value})
         code, out = run(tmp_path, subcommand, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value", [("figure", "9"), ("subcommand", "spectrum"),
+                                            ("help", "1")])
+    def test_run_selector_is_no_config_key(self, tmp_path, key, value):
+        # The words that choose the run are not flags, so not config keys.
+        cfg = write_config(tmp_path, {key: value})
+        code, out = run(tmp_path, "reproduce-figure", "3", "--config", cfg)
         assert code == EXIT_CONFIG
         assert not out.exists() or not any(out.iterdir())
 
@@ -348,9 +411,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("on, off", [("1", "0"), ("True", "False"), ("yes", "no"),
                                          ("ON", "Off")])
     def test_on_off_values(self, tmp_path, on, off):
-        # An off value counts as absent, so otto, which does not read
-        # --plots, runs with it and rejects the on value.
-        for value, gp, otto in ((on, True, EXIT_CONFIG), (off, False, EXIT_OK)):
+        # An off value counts as absent; otto has no --plots, so a plots key
+        # is unknown to it, on or off.
+        for value, gp in ((on, True), (off, False)):
             cfg = write_config(tmp_path, {"plots": value})
             code, out = run(tmp_path / "regions" / value, "regions", "--cycle", "otto",
                             "--alpha", "1.5", "--config", cfg, *FAST)
@@ -358,27 +421,26 @@ class TestConfigFile:
             assert (out / "regions.gp").exists() == gp
             code, _ = run(tmp_path / "otto" / value, "otto", "--alpha", "1.5", "--L", "200",
                           "--config", cfg)
-            assert code == otto
+            assert code == EXIT_CONFIG
 
     def test_workers_only_on_optimal(self):
-        _, subparsers = _build_parser()
-        have = {name for name, sub in subparsers.items()
+        _, runs = _build_parser()
+        have = {name for name, sub in runs.items()
                 if any(a.dest == "workers" for a in sub._actions)}
         assert have == {"optimal"}
 
     def test_every_flag_is_a_config_key(self, tmp_path):
-        # Each flag a subcommand declares is a config key spelled as the
-        # flag; a run may still reject the key as unread or its value.
-        parser, subparsers = _build_parser()
-        for name, sub in subparsers.items():
+        # Each flag a subcommand, or figure n, declares is a config key spelled
+        # as the flag; a run may still reject the key's value.
+        parser, runs = _build_parser()
+        for name, sub in runs.items():
             for action in sub._actions:
                 flags = [o for o in action.option_strings if o.startswith("--")]
                 if not flags or action.dest in ("help", "config"):
                     continue
                 value = "true" if action.nargs == 0 else (action.choices or ("1",))[0]
                 cfg = write_config(tmp_path, {flags[0][2:]: value})
-                args = parser.parse_args(
-                    [name, "--config", cfg] + (["4"] if name == "reproduce-figure" else []))
+                args = parser.parse_args(name.split() + ["--config", cfg])
                 try:
                     _resolve(args, sub)
                 except ConfigError as exc:

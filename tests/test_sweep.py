@@ -80,8 +80,13 @@ class TestConfigValidation:
                          lambda: enhancement_regions(cfg, alpha)):
                 with pytest.raises(InvalidParameterError):
                     call()
-        with pytest.raises(InvalidParameterError):
-            sweep_mu(cfg, [[1.5, 2.0]], 0.2)
+        # sweep_mu alone takes an array of alphas; the others raise, not a TypeError.
+        for call in (lambda: sweep_mu(cfg, [[1.5, 2.0]], 0.2),
+                     lambda: max_ratios(cfg, [1.5, 2.0], 0.2),
+                     lambda: max_ratios(cfg, np.array([1.5]), 0.2),
+                     lambda: enhancement_regions(cfg, [1.5, 2.0])):
+            with pytest.raises(InvalidParameterError, match=r"alpha must be .*1\.5"):
+                call()
         for beta_ratio in (1.5, -0.2, 0.0, math.nan):
             for call in (lambda: sweep_mu(cfg, 1.5, beta_ratio),
                          lambda: max_ratios(cfg, 1.5, beta_ratio)):
