@@ -160,9 +160,9 @@ def pairing_function(k, params: ChainParams):
 def _grid_pairing(L: int, alpha: float):
     """cos k and the pairing sum f(k) on the positive momentum grid, cached per (L, alpha).
 
-    An entry holds 8 L bytes.  A sweep reads the short range and the alphas
-    its workers evaluate at once, so four entries serve up to three workers
-    and hold at most 32 L bytes (64 MB at L = 2e6).
+    An entry holds 8 L bytes.  Each sweep process reads the short range and
+    one alpha at a time, so four entries hold what it needs and at most
+    32 L bytes (64 MB at L = 2e6).
     """
     k = momentum_grid(L)
     f = 2.0 * np.sin(k) if math.isinf(alpha) else _fft_grid_pairing(L, alpha)

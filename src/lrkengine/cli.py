@@ -12,8 +12,10 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -586,7 +588,9 @@ def _build_parser():
 
     runs["regions"] = add(sub, "regions", "L", "cycle", "alpha", *grid, "plots")
     p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
-    p.add_argument("--workers", type=int, help="threads over the alpha rows")
+    p.add_argument("--workers", type=int,
+                   help="forked processes over parts of the beta_h/beta_c columns of a "
+                        "Stirling grid (an Otto grid runs serially)")
 
     figure = sub.add_parser(
         "reproduce-figure", description="Regenerate the data behind figure n (1 or 3-10); "
@@ -610,6 +614,14 @@ _DISPATCH = {
 }
 
 
+def _new_top(path):
+    """The outermost directory that ``os.makedirs(path)`` would create, or None."""
+    top, path = None, os.path.abspath(path)
+    while not os.path.lexists(path):
+        top, path = path, os.path.dirname(path)
+    return top
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, runs = _build_parser()
@@ -619,11 +631,28 @@ def main(argv=None) -> int:
         return exc.code
     run = f"{args.subcommand} {args.figure}" if "figure" in args else args.subcommand
     t0 = time.monotonic()
+    made = None  # the directory this run creates, removed again if the run is refused
     try:
         res = _resolve(args, runs[run])
         outdir = res["output_dir"]
+        made = _new_top(outdir)
         os.makedirs(outdir, exist_ok=True)
         files = _DISPATCH[run](res, outdir)
+        manifest = {
+            "tool": "lrk",
+            "version": __version__,
+            "subcommand": args.subcommand,
+            "argv": argv,
+            "inputs": {k: (str(v) if isinstance(v, float) and not math.isfinite(v) else v)
+                       for k, v in sorted(res.items())
+                       if k not in ("config",) and not k.startswith("_")
+                       and isinstance(v, (int, float, str, bool, type(None)))},
+            "outputs": files,
+            "wall_time_s": time.monotonic() - t0,
+        }
+        _write_json(os.path.join(outdir, "run-manifest.json"), manifest)
+        made = None
+        return EXIT_OK
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lrk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -631,30 +660,19 @@ def main(argv=None) -> int:
         print(f"lrk: config error: the request is too large for this machine: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenExecutor as exc:  # a process of the worker pool died
+        print(f"lrk: config error: a worker process died, as when this machine runs out "
+              f"of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except CONTRACT_ERRORS as exc:
         print(f"lrk: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:
         print(f"lrk: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    manifest = {
-        "tool": "lrk",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "argv": argv,
-        "inputs": {k: (str(v) if isinstance(v, float) and not math.isfinite(v) else v)
-                   for k, v in sorted(res.items())
-                   if k not in ("config",) and not k.startswith("_")
-                   and isinstance(v, (int, float, str, bool, type(None)))},
-        "outputs": files,
-        "wall_time_s": time.monotonic() - t0,
-    }
-    try:
-        _write_json(os.path.join(outdir, "run-manifest.json"), manifest)
-    except OSError as exc:
-        print(f"lrk: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    finally:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
 
 
 if __name__ == "__main__":

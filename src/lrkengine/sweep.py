@@ -1,12 +1,14 @@
 """Grid sweeps over cycle parameters: ratio curves, maximum-ratio surfaces,
 enhancement-region masks, and optimal-condition search.
 
-All sweeps are deterministic.  Only the alpha rows of ``max_ratio_grid`` (and
-so of ``optimal_condition``) run on a thread pool, each row into its own slot,
-so the result is identical for any worker count.  Each comparison is a
-long-range cycle against its short-range twin, which does not depend on
-alpha.  Ratios follow ``cycles.ratio_arrays`` and a cell counts toward a
-maximum or a region only when both chains are engine-valid.
+All sweeps are deterministic.  Only ``max_ratio_grid`` (and so
+``optimal_condition``) runs in parallel, on Stirling grids: its beta
+columns split into contiguous parts, each evaluated in a forked process.
+Every column is decided on its own, so the result is identical for any
+worker count.  Each comparison is a long-range cycle against its
+short-range twin, which does not depend on alpha.  Ratios follow
+``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
+when both chains are engine-valid.
 
 Every entry builds its short-range side once per call, and no state
 outlives a call.  ``sweep_mu`` takes one alpha or an array of them and
@@ -33,7 +35,6 @@ each distinct point once.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -568,17 +569,39 @@ def max_ratio_grid(config: SweepConfig) -> list:
     one list per alpha, with None where ``max_ratios`` would raise
     ``InsufficientDataError``.
 
-    The short-range side is built once, before the alpha rows run on
-    ``config.workers`` threads; each row builds its long-range spectra once
-    for all beta ratios.
+    The short-range side is built once for all alphas, and each alpha row
+    builds its long-range spectra once for all beta ratios.  With
+    ``config.workers`` > 1 a Stirling grid's beta ratios split into at most
+    that many contiguous parts, each run serially in a forked process that
+    builds its own short-range side on its columns; the parts join
+    column-wise.  A forked process starts with the parent's modules loaded,
+    so it is sent only its config.
+
+    Otto runs serially at any worker count: its surface is a GEMM that
+    already runs on BLAS's threads, and forked workers each start their own,
+    which oversubscribes the cores.  The grid also runs serially where the
+    "fork" start method is missing (Windows) or the caller is a daemonic
+    process, which may not have children.  Forking a process that runs
+    threads of its own, Python's or BLAS's, can deadlock, and Python 3.12+
+    warns of it: call with ``workers`` = 1 from such a process.
     """
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    ref = _reference(config, brs)  # built serially, so the workers only read it
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda a: _row(config, a, brs, ref), config.alpha_grid))
-    else:
-        rows = [_row(config, a, brs, ref) for a in config.alpha_grid]
+    n = min(config.workers, brs.size) if config.cycle_kind == "stirling" else 1
+    if n > 1:
+        # Imported here: at module level they raise the peak RSS of every
+        # run by 0.8 MB (benchmark grid-otto and point-scan, 8 of 8 pairs).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            parts = [replace(config, beta_ratio_grid=tuple(p.tolist()), workers=1)
+                     for p in np.array_split(brs, n)]
+            with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+                done = list(pool.map(max_ratio_grid, parts))
+            return [[p for row in rows for p in row] for rows in zip(*done)]
+    ref = _reference(config, brs)
+    rows = [_row(config, a, brs, ref) for a in config.alpha_grid]
     return [[None if isinstance(p, InsufficientDataError) else p for p in row] for row in rows]
 
 

@@ -3,6 +3,7 @@ handling, exit codes, and manifest round-trips."""
 
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from lrkengine import (
     enhancement_regions,
     otto_cycle,
     spectrum_scan,
+    sweep,
     sweep_mu,
     winding_number,
 )
@@ -221,8 +223,32 @@ class TestExitCodes:
           for kind in ("otto", "stirling") for ratio in ("1.5", "-0.2", "0")],
     ])
     def test_sweep_domain(self, tmp_path, argv):
-        code, _ = run(tmp_path, *argv, *FAST)
+        code, out = run(tmp_path, *argv, *FAST)
         assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_refused_run_removes_only_what_it_made(self, tmp_path):
+        # Every directory the run created goes; one that existed stays, as it was.
+        argv = ["sweep", "--alpha", "0.5", *FAST, "-o"]
+        assert main(argv + [str(tmp_path / "a" / "b")]) == EXIT_CONFIG
+        assert not (tmp_path / "a").exists()
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "old.txt").write_text("old")
+        assert main(argv + [str(tmp_path / "kept")]) == EXIT_CONFIG
+        assert main(argv + [str(tmp_path / "kept" / "new")]) == EXIT_CONFIG
+        assert [p.name for p in (tmp_path / "kept").iterdir()] == ["old.txt"]
+
+    def test_worker_process_died(self, tmp_path, capsys, monkeypatch):
+        # A worker killed outright (say by the OOM killer) is a config error.
+        # With workers > 1 only the workers build the short-range reference.
+        monkeypatch.setattr(sweep, "_reference", lambda *args: os._exit(1))
+        monkeypatch.setattr(sweep, "default_beta_ratio_grid", lambda: np.array([0.2, 0.4]))
+        code, out = run(tmp_path, "optimal", "--cycle", "stirling", "--workers", "2", *FAST)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("lrk: config error: a worker process died")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--alpha", "1.5", "--L", "200", "--mu-steps", "-3"],
@@ -274,7 +300,7 @@ class TestExitCodes:
     def test_figure_flag_not_read(self, tmp_path, figure, flag):
         code, out = run(tmp_path, "reproduce-figure", str(figure), *flag)
         assert code == EXIT_CONFIG
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("figure, flag", [
         (n, flag) for n, reads in (
@@ -330,7 +356,7 @@ class TestExitCodes:
         for extra in (["--workers", "2"], ["--config", cfg]):
             code, out = run(tmp_path, *argv, "--alpha", "1.5", *extra, *FAST)
             assert code == EXIT_CONFIG
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
 
     @pytest.mark.parametrize("flags, entries", [
         (["--mu-f", "1.0", "--mu-ratio", "0.5"], {}),
@@ -343,12 +369,12 @@ class TestExitCodes:
         for kind in ("otto", "stirling"):
             code, out = run(tmp_path / kind, kind, "--config", cfg, *flags)
             assert code == EXIT_CONFIG
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
 
     def test_sweep_plots_with_json(self, tmp_path, capsys):
         code, out = run(tmp_path, "sweep", "--alpha", "1.5", "--plots", "--format", "json", *FAST)
         assert code == EXIT_CONFIG
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
         assert "--plots" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand, key, value", [
@@ -358,7 +384,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"alpha": "1.5", "L": "200", key: value})
         code, out = run(tmp_path, subcommand, "--config", cfg)
         assert code == EXIT_CONFIG
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("figure", "9"), ("subcommand", "spectrum"),
                                             ("help", "1")])
@@ -367,7 +393,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {key: value})
         code, out = run(tmp_path, "reproduce-figure", "3", "--config", cfg)
         assert code == EXIT_CONFIG
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_section(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -406,7 +432,7 @@ class TestConfigFile:
         code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.5",
                         "--config", cfg, *FAST)
         assert code == EXIT_CONFIG
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("on, off", [("1", "0"), ("True", "False"), ("yes", "no"),
                                          ("ON", "Off")])

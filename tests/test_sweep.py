@@ -1,7 +1,12 @@
 """Tests for grid sweeps, maxima, region masks, and the optimal-condition search."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,27 +143,101 @@ class TestSweepMu:
 
 
 class TestReferenceSharing:
-    def test_reference_computed_once(self, monkeypatch):
+    def test_reference_computed_once(self, monkeypatch, tmp_path):
         # One short-range build on the whole mu grid per call, however many
-        # alphas and threads read it.  Refinements and cusp probes evaluate
+        # alphas read it, and with workers > 1 one per part of the beta
+        # columns.  The builds are logged to a file, which the forked worker
+        # processes append to as well.  Refinements and cusp probes evaluate
         # at most half a grid of rows at a time, so they do not count here.
-        spectra, builds = sweep._spectra, []
+        spectra, log = sweep._spectra, tmp_path / "builds"
 
         def counting(config, alpha, mu_ratios):
             if alpha == SHORT_RANGE and len(mu_ratios) == len(config.mu_ratio_grid):
-                builds.append(alpha)
+                with open(log, "a") as f:
+                    f.write(f"{config.beta_ratio_grid}\n")
             return spectra(config, alpha, mu_ratios)
+
+        def builds(call):
+            log.write_text("")
+            call()
+            return sorted(log.read_text().splitlines())
 
         monkeypatch.setattr(sweep, "_spectra", counting)
         for kind in ("otto", "stirling"):
             cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.05, 1.5, 3.0),
                          beta_ratio_grid=(0.2, 0.48))
             for call in (lambda: sweep_mu(cfg, cfg.alpha_grid, 0.2),
-                         lambda: max_ratio_grid(cfg),
-                         lambda: max_ratio_grid(replace(cfg, workers=2))):
-                builds.clear()
-                call()
-                assert builds == [SHORT_RANGE], kind
+                         lambda: max_ratio_grid(cfg)):
+                assert builds(call) == ["(0.2, 0.48)"], kind
+            parts = builds(lambda: max_ratio_grid(replace(cfg, workers=2)))
+            # Otto stays serial at any worker count.
+            assert parts == (["(0.2, 0.48)"] if kind == "otto" else ["(0.2,)", "(0.48,)"])
+
+
+def _no_reference(config, beta_ratios):
+    raise RuntimeError(f"no reference at {config.beta_ratio_grid}")
+
+
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that maps in this process and
+    records what it is given; it starts no process."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context):
+        self.made.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, configs):
+        configs = list(configs)
+        self.made.append([c.beta_ratio_grid for c in configs])
+        return map(fn, configs)
+
+
+class TestWorkerProcesses:
+    def small(self, beta_ratios, kind="stirling", **kw):
+        return config(kind=kind, mu_steps=21, alpha_grid=(1.5, 3.0),
+                      beta_ratio_grid=beta_ratios, **kw)
+
+    def test_no_process_left_behind(self, monkeypatch):
+        cfg = self.small((0.2, 0.4), workers=2)
+        assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
+        assert multiprocessing.active_children() == []
+        # The workers run _reference; the parent, with workers > 1, does not.
+        for task, error in ((_no_reference, RuntimeError),
+                            (lambda *args: os._exit(1), BrokenProcessPool)):
+            monkeypatch.setattr(sweep, "_reference", task)
+            with pytest.raises(error):
+                max_ratio_grid(cfg)
+            assert multiprocessing.active_children() == []
+
+    def test_parts_capped_at_columns(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(SerialPool, "made", [])
+        cfg = self.small((0.2, 0.3, 0.4), workers=8)
+        assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
+        assert SerialPool.made == [(3, "fork"), [(0.2,), (0.3,), (0.4,)]]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind, methods, daemon", [
+        ("otto", ["fork", "spawn"], False),  # Otto's GEMM has BLAS's threads
+        ("stirling", ["spawn"], False),  # no fork, as on Windows
+        ("stirling", ["fork", "spawn"], True),  # a daemonic process has no children
+    ])
+    def test_serial_without_pool(self, monkeypatch, kind, methods, daemon):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(SerialPool, "made", [])
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: SimpleNamespace(daemon=daemon))
+        cfg = self.small((0.2, 0.3), kind=kind, workers=2)
+        assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
+        assert SerialPool.made == []
 
 
 class TestMaxRatios:
