@@ -172,10 +172,15 @@ def _grid_pairing(L: int, alpha: float):
     return cos_k, f
 
 
+def _bloch_vector(params: ChainParams, cos_k, f, mu):
+    """The Bloch vector (J cos k + mu, Delta f(k)/2) from cos k and the pairing sum f(k)."""
+    return params.J * cos_k + mu, 0.5 * params.Delta * f
+
+
 def quasiparticle_energy(k, params: ChainParams):
     """Dispersion sqrt((J cos k + mu)^2 + (Delta f(k)/2)^2) >= 0."""
     f = pairing_function(k, params)
-    return np.hypot(params.J * np.cos(k) + params.mu, 0.5 * params.Delta * f)
+    return np.hypot(*_bloch_vector(params, np.cos(k), f, params.mu))
 
 
 def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
@@ -186,7 +191,7 @@ def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
     """
     mu = np.asarray(params.mu if mu is None else mu, dtype=float)
     cos_k, f = _grid_pairing(params.L, params.alpha)
-    return np.hypot(params.J * cos_k + mu[..., None], 0.5 * params.Delta * f)
+    return np.hypot(*_bloch_vector(params, cos_k, f, mu[..., None]))
 
 
 def build_spectrum(params: ChainParams) -> QuasiparticleSpectrum:
@@ -199,11 +204,10 @@ def bogoliubov_angle(k: float, params: ChainParams) -> float:
     Defined through atan2 of the Bloch-vector components rather than the
     tan-based form, which is branch-ambiguous.
     """
-    y = -0.5 * params.Delta * pairing_function(k, params)
-    x = params.J * math.cos(k) + params.mu
+    x, y = _bloch_vector(params, math.cos(k), pairing_function(k, params), params.mu)
     if x == 0.0 and y == 0.0:
         raise DegenerateModeError(f"gapless mode at k={k}: Bogoliubov angle undefined")
-    return 0.5 * math.atan2(y, x)
+    return 0.5 * math.atan2(-y, x)
 
 
 def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingResult:
@@ -225,8 +229,7 @@ def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingR
         f = pairing_function(k, params)
     else:
         f = _fft_uniform_pairing(params.L, params.alpha, grid_density)
-    x = params.J * np.cos(k) + params.mu
-    y = 0.5 * params.Delta * f
+    x, y = _bloch_vector(params, np.cos(k), f, params.mu)
     eps = np.hypot(x, y)
     if np.min(eps) < gap_floor:
         raise GaplessConfigurationError(

@@ -1,8 +1,13 @@
-"""Command-line front end: config parsing, subcommand dispatch, CSV/JSON
+"""Command-line front end: argument parsing, subcommand dispatch, CSV/JSON
 emission, gnuplot-script generation, and per-figure reproduction runs.
 
-Every run writes a ``run-manifest.json`` echoing the resolved inputs and the
-produced files; re-running the recorded argv reproduces byte-identical CSVs.
+Each flag, with its type and default, is declared once, on the parsers of the
+runs that read it.  A ``--config`` file's ``[lrk]`` entries are read as that
+run's flags and placed before the command line, ``LRK_WORKERS`` as
+``--workers`` between the two, so a flag beats the variable and the variable
+beats the file.  Every run writes a ``run-manifest.json`` echoing the
+resolved inputs and the produced files; re-running the recorded argv
+reproduces byte-identical CSVs.
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure, 4 I/O.
 """
 
@@ -150,94 +155,48 @@ def _load_config_file(path):
 _ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _file_value(action, key, raw):
-    """A config-file value parsed with the ``type`` and ``choices`` of its flag."""
-    if action.nargs == 0:  # an on/off flag; off counts as absent
-        word = raw.strip().lower()
-        if word in _ON:
-            return True
-        if word in _OFF:
-            return None
-        raise ConfigError(f"config key {key!r}: {raw!r} is not one of {list(_ON + _OFF)}")
-    try:
-        value = action.type(raw) if action.type is not None else raw
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ConfigError(f"config key {key!r}: invalid value {raw!r}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-    return value
+def _file_argv(path, subparser):
+    """The ``[lrk]`` entries of ``path`` as flags of ``subparser``, the run's own parser.
 
-
-def _resolve(args, subparser):
-    """Merge defaults, config-file values, and explicit flags (flags win).
-
-    Only the flags of ``subparser``, the parser that read ``args`` (one
-    figure's, for ``reproduce-figure``), are keys: a config key for any other
-    flag is unknown, and only flags the parser declares get defaults.
-    ``LRK_WORKERS`` ranks between the ``--workers`` flag and the config file.
+    A key is a flag of the run without its leading dashes (``mu-steps`` or
+    ``mu_steps``); any other key, ``help`` and ``config`` among them, is
+    unknown.  A value becomes ``--flag=value``, so that ``mu = -1e-3`` is
+    not read as an option, and an on/off entry becomes the bare flag when on
+    and nothing when off.  Types, choices and conflicts are argparse's.
     """
-    resolved = dict(args.__dict__)
-    env_workers = os.environ.get("LRK_WORKERS")
-    if env_workers and "workers" in resolved and resolved["workers"] is None:
-        try:
-            resolved["workers"] = int(env_workers)
-        except ValueError as exc:
-            raise ConfigError(f"LRK_WORKERS must be an integer, got {env_workers!r}") from exc
-    if resolved.get("config"):
-        # the flags of this run: not --help, nor the subcommand or figure that chose it
-        actions = {a.dest: a for a in subparser._actions if a.dest in resolved}
-        file_vals = _load_config_file(resolved["config"])
-        for key, raw in file_vals.items():
-            key = key.replace("-", "_")
-            if key not in actions:
-                raise ConfigError(f"unknown config key {key!r}")
-            if resolved[key] is not None:
-                continue  # explicit flag wins
-            resolved[key] = _file_value(actions[key], key, raw)
-    for key, val in _DEFAULTS.items():
-        if key in resolved and resolved[key] is None:
-            resolved[key] = val
-    return resolved
-
-
-_DEFAULTS = {
-    "L": 2000,
-    "J": 1.0,
-    "Delta": 1.0,
-    "mu": 0.0,
-    "mu_min": -4.0,
-    "mu_max": 4.0,
-    "mu_i": 2.0,
-    "beta_c": 5.0,
-    "beta_ratio": 0.2,
-    "mu_steps": 201,
-    "grid_density": 100_000,
-    "cycle": "otto",
-    "workers": 1,
-    "format": "csv",
-    "output_dir": ".",
-}
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    argv = []
+    for key, raw in _load_config_file(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            argv.append(f"{flag}={raw}")
+            continue
+        word = raw.strip().lower()
+        if word not in _ON + _OFF:
+            raise ConfigError(f"config key {key!r}: {raw!r} is not one of {list(_ON + _OFF)}")
+        if word in _ON:
+            argv.append(flag)
+    return argv
 
 
 def _base(res):
-    alpha = res.get("alpha")
+    alpha = res["alpha"]
     if alpha is None:
         raise ConfigError("alpha is required (use --alpha, 'inf' for short range)")
-    return ChainParams(
-        L=int(res["L"]), J=float(res["J"]), Delta=float(res["Delta"]),
-        mu=0.0, alpha=alpha,
-    )
+    return ChainParams(L=res["L"], J=res["J"], Delta=res["Delta"], mu=0.0, alpha=alpha)
 
 
 def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
     return SweepConfig(
         cycle_kind=cycle_kind,
-        base=ChainParams(L=int(res["L"]), J=float(res["J"]), Delta=float(res["Delta"]),
-                         mu=0.0, alpha=2.0),
-        mu_i=float(res["mu_i"]),
+        base=ChainParams(L=res["L"], J=res["J"], Delta=res["Delta"], mu=0.0, alpha=2.0),
+        mu_i=res["mu_i"],
         mu_ratio_grid=tuple(mu_ratio_grid if mu_ratio_grid is not None
-                            else np.linspace(0.0, 1.0, int(res["mu_steps"]))),
-        beta_c=float(res["beta_c"] if beta_c is None else beta_c),
+                            else np.linspace(0.0, 1.0, res["mu_steps"])),
+        beta_c=res["beta_c"] if beta_c is None else beta_c,
     )
 
 
@@ -272,13 +231,13 @@ def _spectrum_table(outdir, stem, params, mus, plots):
 
 
 def _cmd_spectrum(res, outdir):
-    mus = np.linspace(float(res["mu_min"]), float(res["mu_max"]), res["mu_steps"])
-    return _spectrum_table(outdir, "spectrum", _base(res), mus, res.get("plots"))
+    mus = np.linspace(res["mu_min"], res["mu_max"], res["mu_steps"])
+    return _spectrum_table(outdir, "spectrum", _base(res), mus, res["plots"])
 
 
 def _cmd_winding(res, outdir):
-    params = _base(res).with_mu(float(res["mu"]))
-    result = winding_number(params, grid_density=int(res["grid_density"]))
+    params = _base(res).with_mu(res["mu"])
+    result = winding_number(params, grid_density=res["grid_density"])
     path = os.path.join(outdir, "winding.json")
     _write_json(path, {"w": result.w, "residual": result.residual,
                        "grid_density": result.grid_density})
@@ -287,17 +246,10 @@ def _cmd_winding(res, outdir):
 
 def _cmd_cycle(res, outdir, kind):
     base = _base(res)
-    mu_i = float(res["mu_i"])
-    if res["mu_f"] is not None:
-        if res["mu_ratio"] is not None:
-            raise ConfigError("give --mu-f or --mu-ratio, not both")
-        mu_f = float(res["mu_f"])
-    elif res["mu_ratio"] is not None:
-        mu_f = float(res["mu_ratio"]) * mu_i
-    else:
-        mu_f = 0.5 * mu_i
-    beta_c = float(res["beta_c"])
-    baths = BathPair(beta_h=float(res["beta_ratio"]) * beta_c, beta_c=beta_c)
+    mu_i = res["mu_i"]
+    mu_f = res["mu_ratio"] * mu_i if res["mu_f"] is None else res["mu_f"]
+    beta_c = res["beta_c"]
+    baths = BathPair(beta_h=res["beta_ratio"] * beta_c, beta_c=beta_c)
     spec = CycleSpec(base=base, mu_i=mu_i, mu_f=mu_f, baths=baths)
     result = otto_cycle(spec) if kind == "otto" else stirling_cycle(spec)
     name = f"{kind}.json"
@@ -311,7 +263,7 @@ def _cmd_sweep(res, outdir):
     kind = res["cycle"]
     base = _base(res)
     cfg = _sweep_config(res, kind)
-    rows = sweep_mu(cfg, base.alpha, float(res["beta_ratio"]))
+    rows = sweep_mu(cfg, base.alpha, res["beta_ratio"])
     if res["format"] == "json":
         name = "sweep.json"
         # An undefined ratio is null, as JSON has no NaN.
@@ -336,7 +288,7 @@ def _cmd_regions(res, outdir):
     name = "regions.csv"
     _region_csv(os.path.join(outdir, name), region)
     files = [name]
-    if res.get("plots"):
+    if res["plots"]:
         _plot_script(os.path.join(outdir, "regions.gp"), "enhancement regions",
                      "mu_f/mu_i", "beta_h/beta_c",
                      f"'{name}' using 1:2:3 with image notitle")
@@ -352,7 +304,7 @@ def _region_csv(path, region):
 
 def _cmd_optimal(res, outdir):
     kind = res["cycle"]
-    cfg = replace(_sweep_config(res, kind), workers=int(res["workers"]))
+    cfg = replace(_sweep_config(res, kind), workers=res["workers"])
     oc = optimal_condition(cfg)
     name = "optimal.json"
     _write_json(os.path.join(outdir, name), {
@@ -373,13 +325,13 @@ def _cmd_optimal(res, outdir):
 
 
 def _alphas(res):
-    if res.get("dense"):
+    if res["dense"]:
         return tuple(np.geomspace(1.05, 6.0, 100))
     return ALPHA_PANEL
 
 
 def _fig1(res, outdir):
-    base = ChainParams(L=200, J=float(res["J"]), Delta=float(res["Delta"]))
+    base = ChainParams(L=200, J=res["J"], Delta=res["Delta"])
     files = []
     mus = np.linspace(-4.0, 4.0, 161)
     for tag, alpha in (("a", 0.4), ("b", 1.7), ("c", 4.0)):
@@ -412,7 +364,7 @@ def _fig3(res, outdir):
     k = momentum_grid(2000)[::5]
     keys = [np.repeat(_key_text(ratios), k.size), np.tile(_key_text(k / math.pi), ratios.size)]
     for tag, alpha in (("a", 1.05), ("b", 2.0), ("c", 10.0), ("d", SHORT_RANGE)):
-        base = ChainParams(L=2000, J=float(res["J"]), Delta=float(res["Delta"]), alpha=alpha)
+        base = ChainParams(L=2000, J=res["J"], Delta=res["Delta"], alpha=alpha)
         eps = spectrum_energies(base, ratios * mu_i)[:, ::5]
         name = f"fig3{tag}.csv"
         _write_csv(os.path.join(outdir, name), ["mu_ratio", "k_over_pi", "energy"],
@@ -427,7 +379,7 @@ def _fig3(res, outdir):
 def _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=None):
     """One ``sweep_mu`` over all ``alphas``: the alpha column and the rows."""
     cfg = _sweep_config(res, kind, mu_ratio_grid=mu_ratio_grid, beta_c=beta_c)
-    rows = sweep_mu(cfg, alphas, float(res["beta_ratio"]))
+    rows = sweep_mu(cfg, alphas, res["beta_ratio"])
     return np.repeat(_key_text(alphas), len(cfg.mu_ratio_grid)), rows
 
 
@@ -453,7 +405,7 @@ def _diag_fig(res, outdir, kind, prefix):
     """dQ_rel and xi versus alpha for a set of mu_f/mu_i values, both beta_c."""
     files = []
     mu_ratios = (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)
-    alphas = np.geomspace(1.05, 6.0, 100 if res.get("dense") else 40)
+    alphas = np.geomspace(1.05, 6.0, 100 if res["dense"] else 40)
     for tag, beta_c in (("a", 5.0), ("b", 0.05)):
         alpha_col, rows = _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=mu_ratios)
         name = f"{prefix}{tag}.csv"
@@ -543,20 +495,19 @@ def _build_parser():
     a subcommand, or ``reproduce-figure n``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file with a [lrk] section")
-    common.add_argument("-o", "--output-dir", dest="output_dir")
-    common.add_argument("--J", type=float)
-    common.add_argument("--Delta", type=float)
+    common.add_argument("-o", "--output-dir", dest="output_dir", default=".")
+    common.add_argument("--J", type=float, default=1.0)
+    common.add_argument("--Delta", type=float, default=1.0)
     flags = {
-        "L": _flag("--L", type=int),
+        "L": _flag("--L", type=int, default=2000),
         "alpha": _flag("--alpha", type=_parse_alpha),
-        "cycle": _flag("--cycle", choices=CYCLE_KINDS),
-        "mu_i": _flag("--mu-i", type=float),
-        "mu_steps": _flag("--mu-steps", type=_positive_int),
-        "beta_c": _flag("--beta-c", type=float),
-        "beta_ratio": _flag("--beta-ratio", type=float),
-        "plots": _flag("--plots", action="store_const", const=True, default=None,
-                       help="also emit gnuplot scripts"),
-        "dense": _flag("--dense", action="store_const", const=True, default=None,
+        "cycle": _flag("--cycle", choices=CYCLE_KINDS, default="otto"),
+        "mu_i": _flag("--mu-i", type=float, default=2.0),
+        "mu_steps": _flag("--mu-steps", type=_positive_int, default=201),
+        "beta_c": _flag("--beta-c", type=float, default=5.0),
+        "beta_ratio": _flag("--beta-ratio", type=float, default=0.2),
+        "plots": _flag("--plots", action="store_true", help="also emit gnuplot scripts"),
+        "dense": _flag("--dense", action="store_true",
                        help="sample alpha with 100 log-spaced points instead of 6"),
     }
     # the sweep grid: mu_i, the mu_f/mu_i steps and beta_c
@@ -571,24 +522,25 @@ def _build_parser():
     runs = {}
 
     p = runs["spectrum"] = add(sub, "spectrum", "L", "alpha", "mu_steps", "plots")
-    p.add_argument("--mu-min", type=float)
-    p.add_argument("--mu-max", type=float)
+    p.add_argument("--mu-min", type=float, default=-4.0)
+    p.add_argument("--mu-max", type=float, default=4.0)
 
     p = runs["winding"] = add(sub, "winding", "L", "alpha")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--grid-density", type=int)
+    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--grid-density", type=int, default=100_000)
 
     for kind in CYCLE_KINDS:
-        p = runs[kind] = add(sub, kind, "L", "alpha", "mu_i", "beta_c", "beta_ratio")
-        p.add_argument("--mu-f", type=float)
-        p.add_argument("--mu-ratio", type=float)
+        runs[kind] = add(sub, kind, "L", "alpha", "mu_i", "beta_c", "beta_ratio")
+        mu_f = runs[kind].add_mutually_exclusive_group()
+        mu_f.add_argument("--mu-f", type=float)
+        mu_f.add_argument("--mu-ratio", type=float, default=0.5)
 
     p = runs["sweep"] = add(sub, "sweep", "L", "cycle", "alpha", *grid, "beta_ratio", "plots")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     runs["regions"] = add(sub, "regions", "L", "cycle", "alpha", *grid, "plots")
     p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
-    p.add_argument("--workers", type=int,
+    p.add_argument("--workers", type=int, default=1,
                    help="forked processes over parts of the beta_h/beta_c columns of a "
                         "Stirling grid (an Otto grid runs serially)")
 
@@ -625,15 +577,21 @@ def _new_top(path):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, runs = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # a usage error (2), or --help or --version (0)
-        return exc.code
-    run = f"{args.subcommand} {args.figure}" if "figure" in args else args.subcommand
     t0 = time.monotonic()
     made = None  # the directory this run creates, removed again if the run is refused
     try:
-        res = _resolve(args, runs[run])
+        args = parser.parse_args(argv)
+        run = f"{args.subcommand} {args.figure}" if "figure" in args else args.subcommand
+        # The file's flags, then LRK_WORKERS as --workers, go between the words
+        # that select the run and the rest of argv: the last flag given wins.
+        extra = _file_argv(args.config, runs[run]) if args.config else []
+        env_workers = os.environ.get("LRK_WORKERS")
+        if env_workers and "workers" in args:
+            extra.append(f"--workers={env_workers}")
+        if extra:
+            n = len(run.split())
+            args = parser.parse_args(argv[:n] + extra + argv[n:])
+        res = vars(args)
         outdir = res["output_dir"]
         made = _new_top(outdir)
         os.makedirs(outdir, exist_ok=True)
@@ -644,15 +602,15 @@ def main(argv=None) -> int:
             "subcommand": args.subcommand,
             "argv": argv,
             "inputs": {k: (str(v) if isinstance(v, float) and not math.isfinite(v) else v)
-                       for k, v in sorted(res.items())
-                       if k not in ("config",) and not k.startswith("_")
-                       and isinstance(v, (int, float, str, bool, type(None)))},
+                       for k, v in sorted(res.items()) if k != "config"},
             "outputs": files,
             "wall_time_s": time.monotonic() - t0,
         }
         _write_json(os.path.join(outdir, "run-manifest.json"), manifest)
         made = None
         return EXIT_OK
+    except SystemExit as exc:  # argparse: a usage error (2), or --help or --version (0)
+        return exc.code
     except (ConfigError, InvalidParameterError) as exc:
         print(f"lrk: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ from lrkengine.cli import (
     EXIT_OK,
     ConfigError,
     _build_parser,
-    _resolve,
+    _file_argv,
     _write_csv,
     main,
 )
@@ -206,13 +206,16 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("key, value", [
-        ("beta_c", "abc"), ("alpha", "abc"), ("L", "2.5"), ("cycle", "carnot"),
+        ("beta_c", "abc"), ("alpha", "abc"), ("L", "2.5"), ("L", "abc"), ("cycle", "carnot"),
         ("mu_steps", "0"), ("mu_steps", "-3"),
     ])
-    def test_bad_config_value(self, tmp_path, key, value):
+    def test_bad_config_value(self, tmp_path, capsys, key, value):
+        # argparse reads the value as the flag's, and its message names the flag.
         entries = {"alpha": "1.05", "L": "200", "mu_steps": "21", key: value}
-        code, _ = run(tmp_path, "sweep", "--config", write_config(tmp_path, entries))
+        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path, entries))
         assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"argument --{key.replace('_', '-')}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["regions", "--alpha", "0.5"], id="regions-alpha-0.5"),
@@ -267,13 +270,15 @@ class TestExitCodes:
     def test_flag_of_another_subcommand(self, tmp_path, argv):
         assert run(tmp_path, *argv)[0] == EXIT_CONFIG
 
-    def test_usage_errors_return_codes(self, tmp_path, capsys):
+    def test_usage_errors_return_codes(self, tmp_path, capsys, monkeypatch):
         # argparse's exits come back as main's return value, not SystemExit;
         # an unknown flag is test_flag_of_another_subcommand.
         out = str(tmp_path / "out")
         assert main(["regions", "--cycle", "carnot", "--alpha", "1.5", "-o", out]) == EXIT_CONFIG
         assert main(["--version"]) == EXIT_OK
         assert main(["optimal", "--help"]) == EXIT_OK
+        monkeypatch.setenv("LRK_WORKERS", "abc")
+        assert main(["optimal", "--L", "20", "--mu-steps", "11", "-o", out]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         assert "Traceback" not in capsys.readouterr().err
 
@@ -362,6 +367,7 @@ class TestExitCodes:
         (["--mu-f", "1.0", "--mu-ratio", "0.5"], {}),
         (["--mu-f", "1.0"], {"mu_ratio": "0.5"}),
         (["--mu-ratio", "0.5"], {"mu-f": "1.0"}),
+        ([], {"mu-f": "1.0", "mu_ratio": "0.5"}),
     ])
     def test_mu_f_with_mu_ratio(self, tmp_path, flags, entries):
         # Both set mu_f, from flags or the config file, so the run is refused.
@@ -387,7 +393,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("figure", "9"), ("subcommand", "spectrum"),
-                                            ("help", "1")])
+                                            ("help", "1"), ("config", "other.ini")])
     def test_run_selector_is_no_config_key(self, tmp_path, key, value):
         # The words that choose the run are not flags, so not config keys.
         cfg = write_config(tmp_path, {key: value})
@@ -449,6 +455,22 @@ class TestConfigFile:
                           "--config", cfg)
             assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, key, name", [
+        pytest.param(["winding", "--alpha", "1.5", "--L", "200"], "mu", "winding.json",
+                     id="winding-mu"),
+        pytest.param(["spectrum", "--alpha", "1.5", "--L", "200", "--mu-steps", "5"], "mu-min",
+                     "spectrum.csv", id="spectrum-mu-min"),
+    ])
+    def test_value_read_as_an_option(self, tmp_path, argv, key, name):
+        # argparse takes the "-1e-3" of "--mu -1e-3" for an option; a file value is
+        # passed joined, as "--mu=-1e-3".
+        cfg = write_config(tmp_path, {key: "-1e-3"})
+        code, out = run(tmp_path / "file", *argv, "--config", cfg)
+        assert code == EXIT_OK
+        code, want = run(tmp_path / "flag", *argv, f"--{key}=-1e-3")
+        assert code == EXIT_OK
+        assert (out / name).read_bytes() == (want / name).read_bytes()
+
     def test_workers_only_on_optimal(self):
         _, runs = _build_parser()
         have = {name for name, sub in runs.items()
@@ -468,7 +490,7 @@ class TestConfigFile:
                 cfg = write_config(tmp_path, {flags[0][2:]: value})
                 args = parser.parse_args(name.split() + ["--config", cfg])
                 try:
-                    _resolve(args, sub)
+                    _file_argv(cfg, sub)
                 except ConfigError as exc:
                     assert "unknown config key" not in str(exc), (name, flags[0])
 
