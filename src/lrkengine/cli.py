@@ -70,7 +70,12 @@ def _fmt(x) -> str:
 def _parse_alpha(text):
     if str(text).lower() in ("inf", "infinity", "shortrange", "short-range"):
         return SHORT_RANGE
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number (> 1 for cycles and sweeps), or 'inf' or 'short-range' "
+            f"for the short range, got {text!r}") from None
 
 
 def _positive_int(text):
@@ -139,17 +144,18 @@ def _plot_script(path, title, xlabel, ylabel, plot_expr):
 
 
 def _load_config_file(path):
-    """Flat INI config: all keys live in a [lrk] section."""
-    parser = configparser.ConfigParser()
+    """Flat INI config: all keys live in a [lrk] section, values taken as written
+    (no ``%`` interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case: 'L' and 'Delta' are real options
     try:
         with open(path) as fh:
             parser.read_file(fh, source=path)
+        if not parser.has_section("lrk"):
+            raise ConfigError(f"{path}:1: missing [lrk] section")
+        return dict(parser.items("lrk"))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    if not parser.has_section("lrk"):
-        raise ConfigError(f"{path}:1: missing [lrk] section")
-    return dict(parser.items("lrk"))
 
 
 _ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")

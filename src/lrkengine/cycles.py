@@ -8,8 +8,10 @@ keeps it, with cos k, per (L, alpha).  Every mode sum and surface forms its
 beta_c terms itself from the spectra it is given.  ``otto_surface``
 evaluates the Otto sums on a whole (mu_f, beta_h) grid as four dot
 products, one of them a GEMM, and states a bound on its distance from
-``otto_mode_sums``; the sweeps screen on it and decide on the per-mode sums,
-which ``otto_cycle`` and ``stirling_cycle`` keep as the literal path.
+``otto_mode_sums``; ``stirling_bounds`` does the same for Stirling from
+Chebyshev moments and two GEMMs.  The sweeps screen on them and decide on
+the per-mode sums, which ``otto_cycle`` and ``stirling_cycle`` keep as the
+literal path; ``stirling_surface`` gives those sums bitwise on a grid.
 """
 
 import math
@@ -207,8 +209,8 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
     return Q_I, Q_II, Q_III, Q_IV, W, Q_h
 
 
-#: Elements of each work buffer of ``stirling_surface``: three buffers of 128 kB,
-#: which stay in a core's L2 cache.
+#: Elements of each work buffer of ``stirling_surface``: buffers of 128 kB, which
+#: stay in a core's L2 cache.
 _SURFACE_BLOCK = 1 << 14
 
 
@@ -217,55 +219,292 @@ def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float):
     bitwise the value of ``stirling_mode_sums`` at that row and beta_h.
 
     ``eps_f`` has shape (n_mu, nk), and W and Q_h have shape (n_mu, n_beta).
+    ``beta_hs`` may instead be a column of one beta_h per row, for W and Q_h of
+    shape (n_mu, 1), each row at its own beta_h.
     Of the beta_c terms, only the two that W and Q_h read are built, once:
     tanh(beta_c eps_i / 2) and the cold ln cosh work terms w_c.  For each
-    beta_h the eps_i-only terms (t_hi, its ln cosh, eps_i t_hi and Q_IV) are
-    built once.  The eps_f rows then pass in blocks of ``_SURFACE_BLOCK // nk``
-    rows through three buffers allocated once per call, by the elementwise
-    operations of ``stirling_mode_sums`` (ln cosh as in ``thermo.lncosh``) in
-    the same order and one sum per row, so no block allocates a temporary of
-    table size.
+    distinct beta_h the eps_i-only terms (t_hi, its ln cosh, eps_i t_hi and
+    Q_IV) are built once.  The eps_f rows then pass in blocks of
+    ``_SURFACE_BLOCK // nk`` rows through buffers allocated once per call, by
+    the elementwise operations of ``stirling_mode_sums`` (ln cosh as in
+    ``thermo.lncosh``) in the same order and one sum per row, so no block
+    allocates a temporary of table size; a column's rows take their eps_i
+    terms from the rows of their beta_h.
     Q_II and Q_III, which neither W nor Q_h uses, are not formed.
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
+    beta_hs = np.asarray(beta_hs, dtype=float)
+    per_row = beta_hs.ndim == 2
+    values, col = np.unique(beta_hs[:, 0], return_inverse=True) if per_row else (beta_hs, None)
     t_ci = np.tanh(0.5 * beta_c * eps_i)
     w_c = (2.0 / beta_c) * (lncosh(0.5 * beta_c * eps_i) - lncosh(0.5 * beta_c * eps_f))
-    beta_hs = np.asarray(beta_hs, dtype=float)
+    hs = 0.5 * values
+    x_i = hs[:, None] * eps_i
+    t_hi = np.tanh(x_i)
+    lc_i = lncosh(x_i)
+    e_t_hi = eps_i * t_hi
+    Q_IV = np.sum(eps_i * (t_ci - t_hi), axis=-1)
     n_mu, nk = eps_f.shape
-    W = np.empty((n_mu, beta_hs.size))
+    W = np.empty((n_mu, 1 if per_row else values.size))
     Q_h = np.empty_like(W)
     rows = max(1, _SURFACE_BLOCK // nk)
     x, t, w = (np.empty((min(rows, n_mu), nk)) for _ in range(3))
     ln2 = math.log(2.0)
-    for j, beta_h in enumerate(beta_hs):
-        h, g = 0.5 * beta_h, 2.0 / beta_h
-        t_hi = np.tanh(h * eps_i)
-        lc_i = lncosh(h * eps_i)
-        e_t_hi = eps_i * t_hi
-        Q_IV = np.sum(eps_i * (t_ci - t_hi), axis=-1)
+
+    def block(r, m, j, h, g, lc, et, q_iv):
+        f = eps_f[r : r + m]
+        xb, tb, wb = x[:m], t[:m], w[:m]
+        np.multiply(h, f, out=xb)
+        np.tanh(xb, out=tb)  # t_hf
+        np.abs(xb, out=xb)
+        np.multiply(-2.0, xb, out=wb)
+        np.exp(wb, out=wb)
+        np.log1p(wb, out=wb)
+        np.add(xb, wb, out=wb)
+        np.subtract(wb, ln2, out=wb)  # ln cosh(beta_h eps_f / 2)
+        np.subtract(wb, lc, out=wb)
+        np.multiply(g, wb, out=wb)  # w_h
+        np.add(wb, w_c[r : r + m], out=xb)
+        np.add.reduce(xb, axis=-1, out=W[r : r + m, j])
+        np.multiply(f, tb, out=tb)
+        np.subtract(tb, et, out=tb)
+        np.subtract(wb, tb, out=tb)
+        q = np.add.reduce(tb, axis=-1, out=Q_h[r : r + m, j])
+        np.add(q, q_iv, out=q)
+
+    if per_row:
+        gs = 2.0 / values
+        lc, et = (np.empty_like(x) for _ in range(2))
         for r in range(0, n_mu, rows):
-            f = eps_f[r : r + rows]
-            m = f.shape[0]
-            xb, tb, wb = x[:m], t[:m], w[:m]
-            np.multiply(h, f, out=xb)
-            np.tanh(xb, out=tb)  # t_hf
-            np.abs(xb, out=xb)
-            np.multiply(-2.0, xb, out=wb)
-            np.exp(wb, out=wb)
-            np.log1p(wb, out=wb)
-            np.add(xb, wb, out=wb)
-            np.subtract(wb, ln2, out=wb)  # ln cosh(beta_h eps_f / 2)
-            np.subtract(wb, lc_i, out=wb)
-            np.multiply(g, wb, out=wb)  # w_h
-            np.add(wb, w_c[r : r + m], out=xb)
-            np.add.reduce(xb, axis=-1, out=W[r : r + m, j])
-            np.multiply(f, tb, out=tb)
-            np.subtract(tb, e_t_hi, out=tb)
-            np.subtract(wb, tb, out=tb)
-            q = np.add.reduce(tb, axis=-1, out=Q_h[r : r + m, j])
-            np.add(q, Q_IV, out=q)
+            c = col[r : r + rows]
+            m = c.size
+            block(r, m, 0, hs[c, None], gs[c, None], np.take(lc_i, c, axis=0, out=lc[:m]),
+                  np.take(e_t_hi, c, axis=0, out=et[:m]), Q_IV[c])
+    else:
+        for j, beta_h in enumerate(values):
+            for r in range(0, n_mu, rows):
+                block(r, min(rows, n_mu - r), j, hs[j], 2.0 / beta_h, lc_i[j], e_t_hi[j],
+                      Q_IV[j])
     return W, Q_h
+
+
+#: Unit roundoff of float64.
+_U = 2.0**-53
+
+#: Bernstein ellipses tried by ``_ellipses``, as fractions of the distance from the
+#: real axis to the nearest poles of ln cosh(beta_h eps / 2), at Im eps = +-pi / beta_h.
+_ELLIPSES = tuple(0.05 * k for k in range(1, 20)) + tuple(1.0 - 0.5**k for k in range(5, 25))
+
+#: Chebyshev degrees per beta column beyond which ``stirling_bounds`` falls back to
+#: ``stirling_surface``.  A degree of the moments costs three cheap passes over the
+#: eps_f rows, 0.23 ms on the default grid, and a column of the exact surface about
+#: twenty, three of them exp, log1p and tanh, 2.0-2.7 ms; the refinements that the
+#: bound leaves take about 40 ms per chain more (L = 2000, 2 vCPUs, numpy 2.4).  On
+#: six alphas at beta_c = 5 (d 112-124) the exact surface was faster at 2 to 8
+#: columns and the surrogate at 16 and more.
+_DEGREES_PER_COLUMN = 8
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a sum of n + 1 terms, in any order, lies within
+    gamma_n times the sum of their magnitudes of its exact value."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _ellipses(center, half, beta_hs):
+    """(rho, M_F, M_Phi) of the Bernstein ellipses ``_ELLIPSES`` around
+    [center - half, center + half], each of shape (n_beta, len(_ELLIPSES)).
+
+    F(eps) = ln cosh(z) / h and Phi(eps) = (ln cosh z - z tanh z) / h, with
+    z = h eps and h = beta_h / 2, are analytic for |Im z| < pi/2.  On an
+    ellipse with |Im z| <= y, |Re eps| <= X and |eps| <= hypot(X, Y),
+    |ln cosh z| <= max(|Re z|, -ln cos y) + pi/2 and |tanh z| <= max(1, tan y),
+    so |F| <= M_F and |Phi| <= M_Phi.
+    """
+    h = 0.5 * np.asarray(beta_hs, dtype=float)[:, None]
+    y = 0.5 * np.pi * np.array(_ELLIPSES)
+    Y = y / h
+    major = np.hypot(Y, half)
+    rho = (major + Y) / half
+    X = abs(center) + major
+    M_F = (np.maximum(h * X, -np.log(np.cos(y))) + 0.5 * np.pi) / h
+    return rho, M_F, M_F + np.hypot(X, Y) * np.maximum(1.0, np.tan(y))
+
+
+def _chebyshev_coefficients(center, half, beta_hs, degree):
+    """Coefficients (2, n_beta, degree + 1) of the interpolants of F and Phi (see
+    ``_ellipses``) in the Chebyshev points center + half cos(pi m / degree), and a
+    bound (2, n_beta) on the sum over j of the error of coefficient j.
+
+    The values take no cancellation: with z = h eps, ln cosh z is
+    log1p(2 sinh^2(z/2)) for z <= 1, and for z > 1 ln cosh z - z tanh z is
+    log1p(e) - ln 2 + 2 z e / (1 + e) with e = exp(-2z); each value lies within
+    16 u of its magnitude, plus 3 u (|center| + half) for the rounding of its
+    point, of the exact one.  The Lebesgue constant 1 + (2/pi) ln(degree + 1)
+    bounds how far those errors move the interpolant.  The transform is one
+    GEMM with a table of cosines, and rounds each coefficient by at most
+    gamma_(degree+1) times the sum of its terms' magnitudes.  The cosines'
+    arguments, pi k / degree with k < 2 degree, round by at most 2 pi (2.4 u),
+    so each cosine lies within 20 u (2/degree) of its own.
+    """
+    d = degree
+    m = np.arange(d + 1)
+    x = center + half * np.cos(np.pi * m / d)
+    h = 0.5 * np.asarray(beta_hs, dtype=float)[:, None]
+    z = np.abs(h * x)
+    small = z <= 1.0
+    e = np.exp(-2.0 * np.where(small, 1.0, z))
+    ln2 = math.log(2.0)
+    lc = np.where(small, np.log1p(2.0 * np.sinh(0.5 * z) ** 2), z + np.log1p(e) - ln2)
+    phi = np.where(small, lc - z * np.tanh(z), np.log1p(e) - ln2 + 2.0 * z * e / (1.0 + e))
+    values = np.stack([lc / h, phi / h])
+    P = np.cos(np.pi * ((m[:, None] * m) % (2 * d)) / d) * (2.0 / d)
+    P[:, [0, d]] *= 0.5
+    P[[0, d]] *= 0.5
+    size = np.abs(values)
+    lebesgue = 1.0 + (2.0 / np.pi) * math.log(d + 1)
+    of_values = lebesgue * (16.0 * _U * np.max(np.sum(size, axis=0), axis=-1)
+                            + 3.0 * _U * (abs(center) + half))
+    of_transform = size @ (_gamma(d + 1) * np.sum(np.abs(P), axis=0)
+                           + 20.0 * _U * (2.0 / d) * (d + 1))
+    return values @ P.T, of_values + of_transform
+
+
+def _chebyshev_moments(eps_f, center, half, degree):
+    """M[row, j] = sum_k T_j(s_k) with s_k = (eps_f[row, k] - center) / half, shape
+    (n_mu, degree + 1), by the three-term recurrence in row blocks of
+    ``_SURFACE_BLOCK`` elements through four buffers allocated once.
+
+    Each computed T_j lies within 4.5 u j^2 of T_j at the exact s: 3 u j^2 from
+    the rounding of s (Markov's inequality), 1.5 u j^2 from that of the
+    recurrence, whose local errors of at most 3 u grow like Chebyshev
+    polynomials of the second kind.
+    """
+    n_mu, nk = eps_f.shape
+    M = np.empty((n_mu, degree + 1))
+    M[:, 0] = nk
+    rows = max(1, _SURFACE_BLOCK // nk)
+    s2, prev, cur, tmp = (np.empty((min(rows, n_mu), nk)) for _ in range(4))
+    for r in range(0, n_mu, rows):
+        f = eps_f[r : r + rows]
+        m = f.shape[0]
+        sb, a, b, t = s2[:m], prev[:m], cur[:m], tmp[:m]
+        np.subtract(f, center, out=b)
+        np.divide(b, half, out=b)
+        np.clip(b, -1.0, 1.0, out=b)  # T_1
+        np.add.reduce(b, axis=-1, out=M[r : r + m, 1])
+        np.multiply(b, 2.0, out=sb)
+        a.fill(1.0)  # T_0
+        for j in range(2, degree + 1):
+            np.multiply(sb, b, out=t)
+            np.subtract(t, a, out=a)  # T_j = 2 s T_(j-1) - T_(j-2)
+            np.add.reduce(a, axis=-1, out=M[r : r + m, j])
+            a, b = b, a
+    return M
+
+
+def stirling_bounds(eps_i, eps_f, beta_hs, beta_c: float):
+    """Stirling W and Q_h on the grid of ``eps_f`` rows x ``beta_hs``, and a bound
+    ``tol`` on their distance from ``stirling_mode_sums``, each of shape (n_mu, n_beta).
+
+    Per row and beta_h, W = S_F - sum_k F(eps_i) + sum_k w_c and
+    Q_h = S_Phi - sum_k Phi(eps_i) + Q_IV, where S_F = sum_k F(eps_f,k) and
+    S_Phi = sum_k Phi(eps_f,k), with F(eps) = (2/beta_h) ln cosh(beta_h eps / 2)
+    and Phi(eps) = F(eps) - eps tanh(beta_h eps / 2).  S_F and S_Phi come from
+    degree-d Chebyshev interpolants of F and Phi on the range of ``eps_f``: the
+    moments M[row, j] = sum_k T_j(s(eps_f,k)) are formed once for every beta_h,
+    and S = M @ C, one GEMM each against the coefficients C of every beta_h.
+    The eps_i sums and the cold terms w_c are per-mode sums as in
+    ``stirling_mode_sums``.
+
+    ``tol`` is the sum of, per row and beta_h, with nk modes, S the sum over
+    modes of eps_f + eps_i, D that of |eps_f - eps_i|, g = 2/beta_h and
+    g_c = 2/beta_c:
+
+    * nk times the interpolation error of F or Phi, the larger: the bound
+      4 M rho^-d / (rho - 1) of Trefethen, Approximation Theory and
+      Approximation Practice, Thm 8.2, least over the ellipses of ``_ellipses``;
+    * nk times the rounding of the interpolation: of the coefficients
+      (``_chebyshev_coefficients``), 4.5 u j^2 |c_j| for T_j
+      (``_chebyshev_moments``), gamma_nk |c_j| for the sum of T_j over modes and
+      gamma_(d+1) |c_j| for the GEMM, summed over j;
+    * the ln cosh rounding of the per-mode sums on both sides,
+      u (12 S + 16 nk (g + g_c)): one ln cosh of x rounds by at most
+      u (3|x| + 4), and x = beta eps / 2 is scaled by 2/beta;
+    * the other rounding of the per-mode terms on both sides, 40 u S, and of
+      their sums over modes, gamma_nk (3 D + 4 S).
+
+    d is the least degree >= 2 at which the interpolation error is at most
+    u (g + max eps_f) / 16 per mode for every beta_h.  Where that d would cost
+    more than ``stirling_surface``, more than ``_DEGREES_PER_COLUMN`` degrees
+    per column, the exact surface is returned with ``tol`` 0.
+    """
+    eps_f = np.asarray(eps_f, dtype=float)
+    beta_hs = np.asarray(beta_hs, dtype=float)
+    center, half, hi = _interval(eps_f)
+    rho, _, M_Phi = _ellipses(center, half, beta_hs)
+    target = (_U / 16.0) * (2.0 / beta_hs + hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        need = np.log(4.0 * M_Phi / ((rho - 1.0) * target[:, None])) / np.log(rho)
+    need = np.max(np.min(need, axis=1))
+    if not need <= _DEGREES_PER_COLUMN * beta_hs.size:  # also where no ellipse fits
+        W, Q_h = stirling_surface(eps_i, eps_f, beta_hs, beta_c)
+        return W, Q_h, np.zeros_like(W)
+    return _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, max(2, int(np.ceil(need))))
+
+
+def _interval(eps_f):
+    """(center, half) of an interval that holds every ``eps_f`` despite the rounding,
+    and max ``eps_f``."""
+    lo, hi = float(eps_f.min()), float(eps_f.max())
+    half = 0.5 * (hi - lo) * (1.0 + 4 * _U) + 4 * _U * hi + np.finfo(float).tiny
+    return 0.5 * (lo + hi), half, hi
+
+
+def _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c: float, degree):
+    """``stirling_bounds`` at Chebyshev degree ``degree``."""
+    eps_i = np.asarray(eps_i, dtype=float)
+    eps_f = np.asarray(eps_f, dtype=float)
+    beta_hs = np.asarray(beta_hs, dtype=float)
+    n_mu, nk = eps_f.shape
+    center, half, _ = _interval(eps_f)
+    g, g_c = 2.0 / beta_hs, 2.0 / beta_c
+    rho, M_F, M_Phi = _ellipses(center, half, beta_hs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.nan_to_num(4.0 * rho ** -float(degree) / (rho - 1.0))
+    truncation = np.stack([np.min(M_F * decay, axis=1), np.min(M_Phi * decay, axis=1)])
+    coef, coef_err = _chebyshev_coefficients(center, half, beta_hs, degree)
+    j = np.arange(degree + 1)
+    size = np.abs(coef)
+    interp = (truncation + coef_err + 4.5 * _U * size @ (j * j)
+              + (_gamma(nk) + _gamma(degree + 1)) * np.sum(size, axis=-1))
+    M = _chebyshev_moments(eps_f, center, half, degree)
+    S_F, S_Phi = M @ coef[0].T, M @ coef[1].T
+
+    # The per-row and per-beta sums, in blocks of _SURFACE_BLOCK elements.
+    rows = max(1, _SURFACE_BLOCK // nk)
+    w_c, S, D = (np.empty((n_mu, 1)) for _ in range(3))
+    lc_ci = lncosh(0.5 * beta_c * eps_i)
+    for r in range(0, n_mu, rows):
+        f = eps_f[r : r + rows]
+        w_c[r : r + rows, 0] = np.sum(g_c * (lc_ci - lncosh(0.5 * beta_c * f)), axis=-1)
+        S[r : r + rows, 0] = np.sum(f, axis=-1) + np.sum(eps_i)
+        D[r : r + rows, 0] = np.sum(np.abs(f - eps_i), axis=-1)
+    t_ci = np.tanh(0.5 * beta_c * eps_i)
+    F_i, Phi_i, Q_IV = (np.empty(beta_hs.size) for _ in range(3))
+    for r in range(0, beta_hs.size, rows):
+        h = 0.5 * beta_hs[r : r + rows, None]
+        t_hi = np.tanh(h * eps_i)
+        F = g[r : r + rows, None] * lncosh(h * eps_i)
+        F_i[r : r + rows] = np.sum(F, axis=-1)
+        Phi_i[r : r + rows] = np.sum(F - eps_i * t_hi, axis=-1)
+        Q_IV[r : r + rows] = np.sum(eps_i * (t_ci - t_hi), axis=-1)
+    W = S_F - F_i + w_c
+    Q_h = S_Phi - Phi_i + Q_IV
+    tol = (nk * np.max(interp, axis=0) + _U * (12.0 * S + 16.0 * nk * (g + g_c))
+           + 40.0 * _U * S + _gamma(nk) * (3.0 * D + 4.0 * S))
+    return W, Q_h, tol
 
 
 def otto_engine_valid(W, Q_h, Q_c):

@@ -17,18 +17,20 @@ The grid sweeps, ``max_ratio_grid``, ``optimal_condition`` and
 ``enhancement_regions``, build each chain's spectra on the mu grid once per
 alpha and decide every cell in one step, ``_Grid``:
 
-* Otto screens the (mu, beta) grid on ``cycles.otto_surface`` (one GEMM per
-  chain), whose values lie within a stated bound of the per-mode sums.  A
-  cell's engine validity, its R > 1 tests and its argmax candidacy are read
-  off the surface where they lie beyond the bound; every other cell is
-  recomputed from per-mode sums, so each decision equals the tables'.
-* Stirling evaluates each chain on the whole grid with
-  ``cycles.stirling_surface``, whose cells equal the per-mode sums bitwise,
-  and feeds them through the same step with a bound of 0.
+* Each chain's surface on the (mu, beta) grid lies within a stated bound of
+  its per-mode sums: ``cycles.otto_surface`` for Otto (one GEMM per chain),
+  and ``cycles.stirling_bounds`` for Stirling (Chebyshev interpolants of the
+  per-mode functions, two GEMMs per chain), or, where the interpolant's
+  degree would cost more, the exact ``cycles.stirling_surface`` with a
+  bound of 0.
+* A cell's engine validity, its R > 1 tests and its argmax candidacy are
+  read off the surfaces where they lie beyond the bound; every other cell
+  is recomputed from per-mode sums, so each decision equals the tables'.
 
 Cells are recomputed from one-row spectra gathered into batches of at most
 half a table's rows, each row equal bitwise to the table's: the mode sums
-form their beta_c terms themselves, elementwise on the rows they are given.
+form their beta_c terms themselves, elementwise on the rows they are given,
+and Stirling rows pass through ``stirling_surface`` at one beta_h per row.
 The cusp walks (``_cusp_rounds``) advance in rounds: each round evaluates the
 half-step midpoints of every unresolved column's current candidate together,
 each distinct point once.
@@ -45,8 +47,8 @@ from .cycles import (
     otto_mode_sums,
     otto_surface,
     ratio_arrays,
+    stirling_bounds,
     stirling_engine_valid,
-    stirling_mode_sums,
     stirling_surface,
 )
 
@@ -197,8 +199,8 @@ def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
 
     ``beta_ratio`` may be a column of one value per spectrum row; each row
     is then bitwise the row of the table at its own beta ratio.  Stirling
-    also takes a 1-D array of beta ratios, for a column per beta ratio.  Its
-    scalar and 1-D cases come from ``stirling_surface``, bitwise the per-mode
+    also takes a 1-D array of beta ratios, for a column per beta ratio.
+    Stirling tables come from ``stirling_surface``, bitwise the per-mode
     sums.
     """
     eps_i, eps_f = spectra
@@ -208,12 +210,11 @@ def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
         Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        if np.ndim(beta_h) == 2:
-            _, _, _, _, W, Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)
-        else:
-            shape = eps_f.shape[:-1] + np.shape(beta_h)
-            surface = stirling_surface(eps_i, eps_f, np.atleast_1d(beta_h), beta_c)
-            W, Q_h = (c.reshape(shape) for c in surface)
+        column = np.ndim(beta_h) == 2
+        shape = eps_f.shape[:-1] + (() if column else np.shape(beta_h))
+        surface = stirling_surface(eps_i, eps_f, beta_h if column else np.atleast_1d(beta_h),
+                                   beta_c)
+        W, Q_h = (c.reshape(shape) for c in surface)
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
@@ -283,11 +284,12 @@ def _exact_ratios(config: SweepConfig, alpha, mu_ratios, beta_ratios):
 
 @dataclass(eq=False)
 class _Surface:
-    """One Otto chain on the (mu_f/mu_i, beta_h/beta_c) grid.
+    """One chain on the (mu_f/mu_i, beta_h/beta_c) grid.
 
-    W and Q_h lie within ``r`` of their per-mode sums; ``sure`` marks the
-    cells that the surface alone shows to be engines, and ``valid`` is the
-    exact engine validity wherever it was asked for.
+    W and Q_h lie within ``r`` of their per-mode sums, and equal them where
+    ``r`` is 0; ``sure`` marks the cells that the surface alone shows to be
+    engines, and ``valid`` is the exact engine validity wherever it was asked
+    for.
     """
 
     W: np.ndarray
@@ -297,19 +299,29 @@ class _Surface:
     valid: np.ndarray
 
 
-def _otto_surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surface:
-    """The ``otto_surface`` of ``_spectra`` output at the beta ratios ``brs``.
+def _surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surface:
+    """The surface of ``_spectra`` output at the beta ratios ``brs``:
+    ``cycles.otto_surface`` or ``cycles.stirling_bounds``.
 
-    Engine validity is read off the surface where each of its three tests
-    lies beyond the bound; the other cells inside ``where`` are evaluated
-    by per-mode sums.  The bound is doubled, so the margins also cover the
-    rounding of the sums that test them.
+    Engine validity is read off the surface where each of its tests (W > 0,
+    and Q_h > -Q_c > 0 for Otto or Q_h > 0 for Stirling) lies beyond the
+    bound; the other cells inside ``where`` are evaluated by per-mode sums.
+    The bound is doubled, so the margins also cover the rounding of the sums
+    that test them.
     """
     eps_i, eps_f = spectra
-    Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, brs * config.beta_c, config.beta_c)
-    r = 2.0 * tol
-    sure = (W > r) & (Q_h + Q_c > 2.0 * r) & (-Q_c > r)
-    unsure = ~sure & (W >= -r) & (Q_h + Q_c >= -2.0 * r) & (-Q_c >= -r) & where
+    beta_hs, beta_c = brs * config.beta_c, config.beta_c
+    if config.cycle_kind == "otto":
+        Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c)
+        r = 2.0 * tol
+        sure = (W > r) & (Q_h + Q_c > 2.0 * r) & (-Q_c > r)
+        unsure = (W > -r) & (Q_h + Q_c > -2.0 * r) & (-Q_c > -r)
+    else:
+        W, Q_h, tol = stirling_bounds(eps_i, eps_f, beta_hs, beta_c)
+        r = 2.0 * tol
+        sure = (W > r) & (Q_h > r)
+        unsure = (W > -r) & (Q_h > -r)
+    unsure &= ~sure & where
     valid = sure.copy()
     i, j = np.nonzero(unsure)
     mu = np.asarray(config.mu_ratio_grid, dtype=float)
@@ -332,16 +344,11 @@ class _Grid:
         self.both, self.lo, self.hi, self.exact = both, lo, hi, exact
 
     @classmethod
-    def exact_tables(cls, config, alpha, brs, lr: CycleTable, sr: CycleTable):
-        both, R_W, R_eta = _engine_ratios(lr, sr)
-        R = {"W": _finite(R_W), "eta": _finite(R_eta)}
-        return cls(config, alpha, brs, both, R, R, np.ones(both.shape, dtype=bool))
-
-    @classmethod
     def screened(cls, config, alpha, brs, lr: _Surface, sr: _Surface):
         """Bands from the W and Q_h bounds where both chains are sure engines and
         W_sr stays clear of the zero test of ``ratio_arrays``; every other
-        engine cell is refined at once."""
+        engine cell is refined at once.  Where both surfaces are exact (both
+        bounds 0 throughout), a band is the exact ratio and its cell exact."""
         both = lr.valid & sr.valid
         r, s = lr.r, sr.r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -353,11 +360,12 @@ class _Grid:
             }
         defined = sr.W - s > 2e-14 * np.maximum(np.maximum(sr.W + s, sr.Q_h + s), 1.0)
         banded = both & lr.sure & sr.sure & defined
+        tight = not (r.any() or s.any())
         # The exact ratios take up to three roundings of their own.
-        u8 = 4.0 * np.finfo(float).eps
+        u8 = 0.0 if tight else 4.0 * np.finfo(float).eps
         lo = {k: np.where(banded, b[0] * (1.0 - u8), -np.inf) for k, b in bands.items()}
         hi = {k: np.where(banded, b[1] * (1.0 + u8), -np.inf) for k, b in bands.items()}
-        grid = cls(config, alpha, brs, both, lo, hi, ~banded)
+        grid = cls(config, alpha, brs, both, lo, hi, ~banded | tight)
         grid.refine(*np.nonzero(both & ~banded))
         return grid
 
@@ -382,24 +390,15 @@ def _finite(R):
 
 
 def _reference(config: SweepConfig, brs):
-    """The short-range side of ``_grid`` at the beta ratios ``brs``: the Otto
-    surface or the Stirling table."""
-    spectra = _spectra(config, SHORT_RANGE, config.mu_ratio_grid)
-    if config.cycle_kind == "otto":
-        return _otto_surface(config, SHORT_RANGE, spectra, brs)
-    return _table(config, spectra, brs)
+    """The short-range side of ``_grid``: its surface at the beta ratios ``brs``."""
+    return _surface(config, SHORT_RANGE, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), brs)
 
 
 def _grid(config: SweepConfig, alpha, brs, ref) -> _Grid:
-    """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``.
-
-    Otto cells are screened on the surfaces; the Stirling table is exact.
-    """
-    spectra = _spectra(config, alpha, config.mu_ratio_grid)
-    if config.cycle_kind == "otto":
-        lr = _otto_surface(config, alpha, spectra, brs, where=ref.valid)
-        return _Grid.screened(config, alpha, brs, lr, ref)
-    return _Grid.exact_tables(config, alpha, brs, _table(config, spectra, brs), ref)
+    """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``."""
+    lr = _surface(config, alpha, _spectra(config, alpha, config.mu_ratio_grid), brs,
+                  where=ref.valid)
+    return _Grid.screened(config, alpha, brs, lr, ref)
 
 
 class _Walk:
@@ -570,7 +569,11 @@ def max_ratio_grid(config: SweepConfig) -> list:
     ``InsufficientDataError``.
 
     The short-range side is built once for all alphas, and each alpha row
-    builds its long-range spectra once for all beta ratios.  With
+    builds its long-range spectra once for all beta ratios.  Both surfaces
+    screen the cells (see the module docstring): a Stirling chain's
+    Chebyshev moments are formed once for all beta ratios, and only the
+    cells the bound leaves undecided, argmax candidates first among them,
+    are evaluated by per-mode sums.  With
     ``config.workers`` > 1 a Stirling grid's beta ratios split into at most
     that many contiguous parts, each run serially in a forked process that
     builds its own short-range side on its columns; the parts join
@@ -608,8 +611,8 @@ def max_ratio_grid(config: SweepConfig) -> list:
 def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
     """Mask of (mu_f/mu_i, beta_h/beta_c) cells with R_W > 1 and R_eta > 1.
 
-    Otto decides the mask on the surfaces and refines the cells whose
-    bands straddle 1; Stirling evaluates its exact surface.
+    The mask is decided on the surfaces, and the cells whose bands straddle
+    1 are refined.
     """
     _check_alpha(alpha)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)

@@ -401,6 +401,19 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_alpha_message(self, tmp_path, capsys, source):
+        # The message names the accepted forms, not the parsing function.
+        if source == "flag":
+            code, out = run(tmp_path, "sweep", "--alpha", "abc", *FAST)
+        else:
+            code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path, {"alpha": "abc"}))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "argument --alpha: " in err and "'inf'" in err and "'abc'" in err
+        assert "_parse_alpha" not in err and "Traceback" not in err
+
     def test_missing_section(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[other]\nL = 8\n")
@@ -421,6 +434,23 @@ class TestExitCodes:
 
 
 class TestConfigFile:
+    def test_percent_value_taken_as_written(self, tmp_path, capsys):
+        # A value holding % is not interpolated: the run writes to out%1.
+        cfg = write_config(tmp_path, {"alpha": "4", "L": "200", "grid-density": "2000",
+                                      "output-dir": str(tmp_path / "out%1")})
+        assert main(["winding", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "out%1" / "run-manifest.json").is_file()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[lrk]\nalpha = 1.5\nalpha = 2\n")
+        code, out = run(tmp_path, "winding", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("lrk: config error: ") and "Traceback" not in err
+
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[lrk]\nL = 200\nalpha = 1.05\nbeta_c = 5\nbeta_ratio = 0.2\nmu_ratio = 0.7\n")

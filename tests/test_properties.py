@@ -22,11 +22,18 @@ from lrkengine import (
     sweep_mu,
     winding_number,
 )
-from lrkengine.cycles import otto_mode_sums, otto_surface, stirling_mode_sums, stirling_surface
+from lrkengine.cycles import (
+    otto_mode_sums,
+    otto_surface,
+    stirling_bounds,
+    stirling_mode_sums,
+    stirling_surface,
+)
 from lrkengine.sweep import (
     CycleTable,
+    _engine_ratios,
+    _finite,
     _grid,
-    _Grid,
     _point_table,
     _reference,
     _spectra,
@@ -193,9 +200,31 @@ def stacked_tables(cfg, alpha, brs):
 
 
 def exact_grid(cfg, alpha, brs):
-    """The ``_Grid`` of per-mode tables, one per beta ratio."""
+    """The decisions of per-mode tables, one per beta ratio: both chains' engine
+    validity, and each ratio with -inf where it is not finite."""
     lr, sr = (stacked_tables(cfg, a, brs) for a in (alpha, SHORT_RANGE))
-    return _Grid.exact_tables(cfg, alpha, brs, lr, sr)
+    both, R_W, R_eta = _engine_ratios(lr, sr)
+    return both, {"W": _finite(R_W), "eta": _finite(R_eta)}
+
+
+def assert_decisions_match_tables(cfg, alpha, brs):
+    # Engine validity, the R > 1 mask and each column's argmax cell decided
+    # on the surfaces equal those of the per-mode tables.
+    screened = _grid(cfg, alpha, brs, _reference(cfg, brs))
+    both, R = exact_grid(cfg, alpha, brs)
+    assert np.array_equal(screened.both, both)
+    assert np.array_equal(screened.region_mask(), (R["W"] > 1.0) & (R["eta"] > 1.0))
+    for k in ("W", "eta"):
+        for j in range(brs.size):
+            walk = _Walk(k, screened.lo[k][:, j], screened.hi[k][:, j], screened.exact[:, j])
+            need = walk.needed()
+            screened.refine(need, np.full(need.size, j))
+            walk.take()
+            if np.isfinite(R[k][:, j]).any():
+                assert walk.cand == np.argmax(R[k][:, j])
+                assert walk.lo[walk.cand] == R[k][walk.cand, j]
+            else:
+                assert walk.failed
 
 
 class TestOttoSurface:
@@ -222,28 +251,10 @@ class TestOttoSurface:
     @example(L=64, alpha=12.0, mu_i=2.0, beta_c=0.05, beta_ratios=[0.1, 0.3, 0.5],
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0])
     def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios):
-        # Engine validity, the R > 1 mask and each column's argmax cell
-        # decided on the surfaces equal those of the per-mode tables.  Near
-        # mu_f = mu_i, W is within the surface bound of 0 and R_W and R_eta
-        # straddle 1, so the examples exercise every refinement.
+        # Near mu_f = mu_i, W is within the surface bound of 0 and R_W and
+        # R_eta straddle 1, so the examples exercise every refinement.
         cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
-        brs = np.asarray(beta_ratios)
-        screened = _grid(cfg, alpha, brs, _reference(cfg, brs))
-        exact = exact_grid(cfg, alpha, brs)
-        assert np.array_equal(screened.both, exact.both)
-        assert np.array_equal(screened.region_mask(), exact.region_mask())
-        for k in ("W", "eta"):
-            for j in range(brs.size):
-                walk = _Walk(k, screened.lo[k][:, j], screened.hi[k][:, j], screened.exact[:, j])
-                need = walk.needed()
-                screened.refine(need, np.full(need.size, j))
-                walk.take()
-                R = exact.lo[k][:, j]
-                if np.isfinite(R).any():
-                    assert walk.cand == np.argmax(R)
-                    assert walk.lo[walk.cand] == R[walk.cand]
-                else:
-                    assert walk.failed
+        assert_decisions_match_tables(cfg, alpha, np.asarray(beta_ratios))
 
 
 class TestPointRows:
@@ -303,6 +314,57 @@ class TestStirlingSurface:
                 assert np.array_equal(got[:, j], want_W)
             for got in (Q_h, table.Q_h):
                 assert np.array_equal(got[:, j], want_Q_h)
+
+
+mu_grids_with_one = mu_grids.map(lambda mus: sorted({*mus, 1.0}))
+
+
+class TestStirlingScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(2, 2048).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           mu_i=st.floats(0.1, 3.0), beta_c=st.floats(0.01, 50.0), mu_ratios=mu_grids_with_one,
+           beta_ratios=beta_grids, degree=st.one_of(st.none(), st.integers(2, 60)))
+    @example(L=4, alpha=SHORT_RANGE, mu_i=2.0, beta_c=0.01, mu_ratios=[0.3, 1.0],
+             beta_ratios=[0.01, 0.5], degree=None)
+    @example(L=4096, alpha=1.05, mu_i=2.0, beta_c=5.0, mu_ratios=[0.0, 0.5, 0.99, 1.0],
+             beta_ratios=[0.5, 0.99], degree=8)
+    @example(L=2000, alpha=1.5, mu_i=2.0, beta_c=50.0, mu_ratios=[0.2, 0.7, 1.0],
+             beta_ratios=[0.1, 0.9], degree=None)
+    def test_within_bound(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios, degree):
+        # Every W and Q_h cell lies within tol of stirling_mode_sums, at the
+        # degree the bound chooses (or on the exact surface, with tol 0) and
+        # at any fixed degree, where the interpolation error dominates.  The
+        # row mu_f/mu_i = 1 has W = 0 exactly.
+        cfg = sweep_config("stirling", L, mu_i, beta_c, mu_ratios)
+        eps_i, eps_f = _spectra(cfg, alpha, mu_ratios)
+        beta_hs = np.asarray(beta_ratios) * beta_c
+        if degree is None:
+            W, Q_h, tol = stirling_bounds(eps_i, eps_f, beta_hs, beta_c)
+        else:
+            W, Q_h, tol = cycles._stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, degree)
+        for j, beta_h in enumerate(beta_hs):
+            want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
+            assert np.all(np.abs(W[:, j] - want_W) <= tol[:, j])
+            assert np.all(np.abs(Q_h[:, j] - want_Q_h) <= tol[:, j])
+
+    @settings(max_examples=30, deadline=None)
+    @given(L=st.integers(2, 256).map(lambda n: 2 * n), alpha=alphas_or_sr,
+           mu_i=st.floats(0.1, 3.0), beta_c=st.floats(0.05, 5.0),
+           mu_ratios=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24).map(sorted),
+           beta_ratios=beta_grids, screen=st.booleans())
+    @example(L=64, alpha=12.0, mu_i=2.0, beta_c=5.0, beta_ratios=[0.1, 0.3, 0.5],
+             mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0], screen=True)
+    @example(L=64, alpha=12.0, mu_i=2.0, beta_c=0.05, beta_ratios=[0.1, 0.3, 0.5],
+             mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0], screen=True)
+    def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios,
+                                    screen):
+        # As for Otto, on the Chebyshev surrogate wherever ``screen`` holds,
+        # and otherwise wherever its degree costs less than the exact surface.
+        cfg = sweep_config("stirling", L, mu_i, beta_c, mu_ratios)
+        with pytest.MonkeyPatch.context() as mp:
+            if screen:
+                mp.setattr(cycles, "_DEGREES_PER_COLUMN", 10**6)
+            assert_decisions_match_tables(cfg, alpha, np.asarray(beta_ratios))
 
 
 def columns(rows):

@@ -1,0 +1,153 @@
+"""Write one ``BENCH_<n>.json`` record of a checkout.
+
+    python3 tools/bench_record.py --repo CHECKOUT --out BENCH_n.json
+
+The record holds:
+
+* provenance: nproc, Python, numpy and its BLAS, the thread settings, the
+  checkout's git commit (``-dirty`` when the tree has uncommitted changes)
+  and a SHA-256 over the paths and bytes of its ``src/`` Python files, which
+  identifies a measured tree that no commit holds;
+* the line count of the checkout's ``src/`` Python files;
+* the output of ``python3 bench/run.py --workload all --seed 0 --seconds 15``
+  in the checkout;
+* wall times of full default-grid ``lrk optimal`` runs, both cycles,
+  beta_c 5 and 0.05, workers 1 and 2, as the median and range of 3 runs,
+  with the SHA-256 of each ``optimal.json`` (equal across runs);
+* the tier-1 wall time, its outcome counts and its five slowest tests.
+
+The ``lrk`` runs pin OPENBLAS/OMP/MKL threads to 1, as ``bench/run.py``
+does, so the only parallelism is ``--workers``; tier-1 runs with the
+environment as given.  Every process runs from the checkout's ``src/``.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LRK_WORKERS")
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+RUNS, SEED, SECONDS = 3, 0, 15
+
+PROBE = """
+import json, numpy as np
+blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+keep = ("name", "version", "openblas configuration")
+print(json.dumps({"numpy": np.__version__, "blas": {k: blas[k] for k in keep if k in blas}}))
+"""
+
+
+def env_for(repo, pinned):
+    env = {k: v for k, v in os.environ.items() if k != "LRK_WORKERS"}
+    env["PYTHONPATH"] = str(Path(repo) / "src")
+    if pinned:
+        env.update(PINNED)
+    return env
+
+
+def provenance(repo):
+    probe = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                           check=True, env=env_for(repo, False))
+    commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
+                            cwd=repo, capture_output=True, text=True).stdout.strip()
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        **json.loads(probe.stdout),
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+        "lrk_runs_thread_env": PINNED,
+        "commit": commit,
+        "src_sha256": src_sha256(repo),
+    }
+
+
+def src_files(repo):
+    src = Path(repo) / "src"
+    return [(p.relative_to(src).as_posix(), p.read_bytes()) for p in sorted(src.rglob("*.py"))]
+
+
+def src_sha256(repo):
+    digest = hashlib.sha256()
+    for name, data in src_files(repo):
+        digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return digest.hexdigest()
+
+
+def src_lines(repo):
+    return sum(len(data.splitlines()) for _, data in src_files(repo))
+
+
+def bench_all(repo):
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "all", "--seed",
+                           str(SEED), "--seconds", str(SECONDS)], cwd=repo, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {"seed": SEED, "seconds": SECONDS,
+            "result": json.loads(proc.stdout.strip().splitlines()[-1]),
+            "report": proc.stdout.strip().splitlines()[:-1]}
+
+
+def optimal_times(repo):
+    out = {}
+    for cycle in ("stirling", "otto"):
+        for beta_c in ("5", "0.05"):
+            for workers in ("1", "2"):
+                walls, digests = [], set()
+                for _ in range(RUNS):
+                    with tempfile.TemporaryDirectory() as tmp:
+                        argv = [sys.executable, "-m", "lrkengine.cli", "optimal", "--cycle",
+                                cycle, "--beta-c", beta_c, "--workers", workers, "-o", tmp]
+                        t0 = time.monotonic()
+                        subprocess.run(argv, check=True, env=env_for(repo, True),
+                                       stdout=subprocess.DEVNULL)
+                        walls.append(time.monotonic() - t0)
+                        digests.add(hashlib.sha256(
+                            (Path(tmp) / "optimal.json").read_bytes()).hexdigest())
+                out[f"{cycle} beta_c={beta_c} workers={workers}"] = {
+                    "median_s": round(statistics.median(walls), 3),
+                    "range_s": [round(min(walls), 3), round(max(walls), 3)],
+                    "runs_s": [round(w, 3) for w in walls],
+                    "optimal_json_sha256": sorted(digests),
+                }
+                print(cycle, beta_c, workers, walls, file=sys.stderr, flush=True)
+    return out
+
+
+def tier1(repo):
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors", "--durations=5"],
+                          cwd=repo, capture_output=True, text=True, env=env_for(repo, False))
+    wall = time.monotonic() - t0
+    lines = proc.stdout.splitlines()
+    slowest = [ln.strip() for ln in lines if re.match(r"^\s*[\d.]+s (call|setup|teardown)", ln)]
+    summary = next((ln for ln in reversed(lines) if re.search(r"\d+ (passed|failed)", ln)), "")
+    return {"wall_s": round(wall, 1), "summary": summary.strip("= "), "slowest_5": slowest[:5]}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repo", required=True, help="root of the checkout to measure")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    repo = Path(args.repo).resolve()
+    record = {"provenance": provenance(repo), "src_lines": src_lines(repo)}
+    record["bench_all"] = bench_all(repo)
+    record["lrk_optimal_full_grid"] = optimal_times(repo)
+    record["tier1"] = tier1(repo)
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
