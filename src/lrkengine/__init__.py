@@ -3,17 +3,14 @@
 from .chain import (
     SHORT_RANGE,
     ChainParams,
-    DegenerateModeError,
     GaplessConfigurationError,
     InvalidParameterError,
     QuasiparticleSpectrum,
     WindingResult,
-    bogoliubov_angle,
     build_spectrum,
     min_gap,
     momentum_grid,
     pairing_function,
-    quasiparticle_energy,
     spectrum_scan,
     winding_number,
 )
@@ -35,21 +32,11 @@ from .sweep import (
     OptimalCondition,
     RegionMap,
     SweepConfig,
-    SweepRow,
     enhancement_regions,
     max_ratio_grid,
     max_ratios,
     optimal_condition,
     sweep_mu,
-)
-from .thermo import (
-    ThermoState,
-    UndefinedLimitError,
-    entropy,
-    free_energy,
-    internal_energy,
-    log_partition,
-    thermo_state,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ The chain has nearest-neighbor hopping J, chemical potential mu, and
 superconducting pairing decaying as 1/d^alpha with the effective distance
 d = min(l, L - l) on a closed ring with antiperiodic boundary conditions.
 All quantities here are built from the pairing sum f(k) and the resulting
-quasiparticle dispersion; thermodynamics and cycles live in sibling modules.
+quasiparticle dispersion; the cycles' mode sums live in sibling modules.
 """
 
 import math
@@ -19,10 +19,6 @@ SHORT_RANGE = math.inf
 
 class InvalidParameterError(ValueError):
     """Raised when chain or cycle parameters violate their constraints."""
-
-
-class DegenerateModeError(ValueError):
-    """Raised when the Bogoliubov angle is requested at a gapless mode."""
 
 
 class GaplessConfigurationError(RuntimeError):
@@ -177,12 +173,6 @@ def _bloch_vector(params: ChainParams, cos_k, f, mu):
     return params.J * cos_k + mu, 0.5 * params.Delta * f
 
 
-def quasiparticle_energy(k, params: ChainParams):
-    """Dispersion sqrt((J cos k + mu)^2 + (Delta f(k)/2)^2) >= 0."""
-    f = pairing_function(k, params)
-    return np.hypot(*_bloch_vector(params, np.cos(k), f, params.mu))
-
-
 def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
     """Energies on the positive momentum grid (cos k and f(k) cached per (L, alpha)).
 
@@ -196,18 +186,6 @@ def spectrum_energies(params: ChainParams, mu=None) -> np.ndarray:
 
 def build_spectrum(params: ChainParams) -> QuasiparticleSpectrum:
     return QuasiparticleSpectrum(params=params, energies=spectrum_energies(params))
-
-
-def bogoliubov_angle(k: float, params: ChainParams) -> float:
-    """Branch-resolved Bogoliubov angle in (-pi/2, pi/2].
-
-    Defined through atan2 of the Bloch-vector components rather than the
-    tan-based form, which is branch-ambiguous.
-    """
-    x, y = _bloch_vector(params, math.cos(k), pairing_function(k, params), params.mu)
-    if x == 0.0 and y == 0.0:
-        raise DegenerateModeError(f"gapless mode at k={k}: Bogoliubov angle undefined")
-    return 0.5 * math.atan2(-y, x)
 
 
 def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingResult:

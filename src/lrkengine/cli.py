@@ -3,11 +3,9 @@ emission, gnuplot-script generation, and per-figure reproduction runs.
 
 Each flag, with its type and default, is declared once, on the parsers of the
 runs that read it.  A ``--config`` file's ``[lrk]`` entries are read as that
-run's flags and placed before the command line, ``LRK_WORKERS`` as
-``--workers`` between the two, so a flag beats the variable and the variable
-beats the file.  Every run writes a ``run-manifest.json`` echoing the
-resolved inputs and the produced files; re-running the recorded argv
-reproduces byte-identical CSVs.
+run's flags and placed before the command line, so a flag beats the file.
+Every run writes a ``run-manifest.json`` echoing the resolved inputs and the
+produced files; re-running the recorded argv reproduces byte-identical CSVs.
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure, 4 I/O.
 """
 
@@ -206,17 +204,6 @@ def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
     )
 
 
-_SWEEP_COLUMNS = ("mu_ratio", "R_W", "R_eta", "dQ_rel", "xi", "engine_lr", "engine_sr")
-
-
-def _rows_csv(path, names, rows, alphas=None):
-    """A CSV of the attributes ``names`` of each row, after an ``alpha`` column if given."""
-    header, columns = list(names), [[getattr(r, n) for r in rows] for n in names]
-    if alphas is not None:
-        header, columns = ["alpha"] + header, [alphas] + columns
-    _write_csv(path, header, columns)
-
-
 def _spectrum_table(outdir, stem, params, mus, plots):
     """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``."""
     scan = spectrum_scan(params, mus)
@@ -269,16 +256,17 @@ def _cmd_sweep(res, outdir):
     kind = res["cycle"]
     base = _base(res)
     cfg = _sweep_config(res, kind)
-    rows = sweep_mu(cfg, base.alpha, res["beta_ratio"])
+    table = sweep_mu(cfg, base.alpha, res["beta_ratio"])
     if res["format"] == "json":
         name = "sweep.json"
         # An undefined ratio is null, as JSON has no NaN.
         _write_json(os.path.join(outdir, name), [
             {k: v if not isinstance(v, float) or math.isfinite(v) else None
-             for k, v in r.__dict__.items()} for r in rows])
+             for k, v in zip(table, row)}
+            for row in zip(*(c.tolist() for c in table.values()))])
     else:
         name = "sweep.csv"
-        _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows)
+        _write_csv(os.path.join(outdir, name), list(table), list(table.values()))
         if res["plots"]:
             _plot_script(os.path.join(outdir, "sweep.gp"), f"{kind} ratios", "mu_f/mu_i",
                          "ratio", f"'{name}' using 1:2 with lines, '{name}' using 1:3 with lines")
@@ -382,11 +370,14 @@ def _fig3(res, outdir):
     return files
 
 
-def _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=None):
-    """One ``sweep_mu`` over all ``alphas``: the alpha column and the rows."""
+def _alpha_sweep(res, kind, beta_c, alphas, names=None, mu_ratio_grid=None):
+    """One ``sweep_mu`` over all ``alphas`` as a CSV's header and columns: an
+    alpha column, then the columns ``names``, or all of them."""
     cfg = _sweep_config(res, kind, mu_ratio_grid=mu_ratio_grid, beta_c=beta_c)
-    rows = sweep_mu(cfg, alphas, res["beta_ratio"])
-    return np.repeat(_key_text(alphas), len(cfg.mu_ratio_grid)), rows
+    table = sweep_mu(cfg, alphas, res["beta_ratio"])
+    names = list(table) if names is None else list(names)
+    alpha_col = np.repeat(_key_text(alphas), len(cfg.mu_ratio_grid))
+    return ["alpha", *names], [alpha_col, *(table[n] for n in names)]
 
 
 def _ratio_fig(res, outdir, kind, prefix):
@@ -396,10 +387,10 @@ def _ratio_fig(res, outdir, kind, prefix):
     """
     files = []
     for tags, beta_c in (("ac", 5.0), ("bd", 0.05)):
-        alpha_col, rows = _alpha_sweep(res, kind, beta_c, _alphas(res))
+        header, columns = _alpha_sweep(res, kind, beta_c, _alphas(res))
         for tag, ylab, ycol in zip(tags, ("R_W", "R_eta"), (3, 4)):
             name = f"{prefix}{tag}.csv"
-            _rows_csv(os.path.join(outdir, name), _SWEEP_COLUMNS, rows, alpha_col)
+            _write_csv(os.path.join(outdir, name), header, columns)
             _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"),
                          f"{kind} {ylab} (beta_c={beta_c})", "mu_f/mu_i", ylab,
                          f"'{name}' using 2:{ycol} with lines notitle")
@@ -413,9 +404,9 @@ def _diag_fig(res, outdir, kind, prefix):
     mu_ratios = (0.1, 0.25, 0.4, 0.6, 0.75, 0.9)
     alphas = np.geomspace(1.05, 6.0, 100 if res["dense"] else 40)
     for tag, beta_c in (("a", 5.0), ("b", 0.05)):
-        alpha_col, rows = _alpha_sweep(res, kind, beta_c, alphas, mu_ratio_grid=mu_ratios)
         name = f"{prefix}{tag}.csv"
-        _rows_csv(os.path.join(outdir, name), ("mu_ratio", "dQ_rel", "xi"), rows, alpha_col)
+        _write_csv(os.path.join(outdir, name), *_alpha_sweep(
+            res, kind, beta_c, alphas, ("mu_ratio", "dQ_rel", "xi"), mu_ratio_grid=mu_ratios))
         _plot_script(os.path.join(outdir, f"{prefix}{tag}.gp"),
                      f"{kind} heat/efficiency diagnostics (beta_c={beta_c})",
                      "alpha", "dQ_rel", f"'{name}' using 1:3 with lines notitle")
@@ -548,7 +539,9 @@ def _build_parser():
     p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
     p.add_argument("--workers", type=int, default=1,
                    help="forked processes over parts of the beta_h/beta_c columns of a "
-                        "Stirling grid (an Otto grid runs serially)")
+                        "Stirling grid, at most one per usable CPU (an Otto grid runs "
+                        "serially); they pay only with BLAS on one thread "
+                        "(OPENBLAS_NUM_THREADS=1)")
 
     figure = sub.add_parser(
         "reproduce-figure", description="Regenerate the data behind figure n (1 or 3-10); "
@@ -588,15 +581,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         run = f"{args.subcommand} {args.figure}" if "figure" in args else args.subcommand
-        # The file's flags, then LRK_WORKERS as --workers, go between the words
-        # that select the run and the rest of argv: the last flag given wins.
-        extra = _file_argv(args.config, runs[run]) if args.config else []
-        env_workers = os.environ.get("LRK_WORKERS")
-        if env_workers and "workers" in args:
-            extra.append(f"--workers={env_workers}")
-        if extra:
+        # The file's flags go between the words that select the run and the
+        # rest of argv: the last flag given wins.
+        if args.config:
             n = len(run.split())
-            args = parser.parse_args(argv[:n] + extra + argv[n:])
+            args = parser.parse_args(argv[:n] + _file_argv(args.config, runs[run]) + argv[n:])
         res = vars(args)
         outdir = res["output_dir"]
         made = _new_top(outdir)

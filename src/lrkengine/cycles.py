@@ -22,6 +22,10 @@ import numpy as np
 from .chain import ChainParams, InvalidParameterError, spectrum_energies
 from .thermo import lncosh
 
+#: Relative zero test of ``ratio_arrays``: a reference quantity counts as zero
+#: below this many times the reference scale max(|W_sr|, |Q_h_sr|, 1).
+RATIO_ZERO_TOL = 1e-14
+
 
 class ContractViolationError(ValueError):
     """Raised when paired cycle results do not share the same cycle spec."""
@@ -571,13 +575,13 @@ def ratio_arrays(W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr):
     ``eta_*`` is NaN where that chain is not an engine.  R_W needs W_sr != 0;
     dQ_rel needs Q_h_sr != 0; xi needs a nonvanishing heat difference and a
     defined reference efficiency; R_eta needs both chains engine-valid.  Zero
-    tests use a 1e-14 tolerance on the reference scale
+    tests use ``RATIO_ZERO_TOL`` on the reference scale
     max(|W_sr|, |Q_h_sr|, 1).  Undefined components are NaN.
     """
     W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr = (
         np.asarray(a, dtype=float) for a in (W_lr, Q_h_lr, eta_lr, W_sr, Q_h_sr, eta_sr)
     )
-    tol = 1e-14 * np.maximum(np.maximum(np.abs(W_sr), np.abs(Q_h_sr)), 1.0)
+    tol = RATIO_ZERO_TOL * np.maximum(np.maximum(np.abs(W_sr), np.abs(Q_h_sr)), 1.0)
     dQ = Q_h_sr - Q_h_lr
     with np.errstate(divide="ignore", invalid="ignore"):
         R_W = np.where(np.abs(W_sr) > tol, W_lr / W_sr, np.nan)

@@ -1,7 +1,13 @@
-"""Small-L ground truth: real-space BdG matrix, Jacobi eigensolve, and exact
-2^L partition-function enumeration.  Test-only; performance is a non-goal.
+"""Test-only ground truth that no ``lrk`` run reaches; performance is a non-goal.
 
-The quadratic form is assembled so its positive eigenvalues equal the
+* Small-L references: the real-space BdG matrix, a Jacobi eigensolve, and
+  exact 2^L partition-function enumeration.
+* The thermodynamic mode sums (k_B = 1) behind the first-law tests:
+  ``log_partition``, ``internal_energy``, ``free_energy`` and ``entropy``.
+* The dispersion at arbitrary momenta from the literal pairing sum
+  (``quasiparticle_energy``) and the Bogoliubov angle.
+
+The BdG quadratic form is assembled so its positive eigenvalues equal the
 momentum-space dispersion directly: hopping enters with J/2, pairing with
 Delta/(4 d^alpha), the on-site term with the full mu.  The L = 2 case fixes
 this convention analytically and gates the batch comparisons.
@@ -11,10 +17,14 @@ import math
 
 import numpy as np
 
-from .chain import ChainParams, QuasiparticleSpectrum
+from .chain import ChainParams, QuasiparticleSpectrum, _bloch_vector, pairing_function
+from .thermo import lncosh
 
 ORACLE_L_CAP = 64
 ENUMERATION_L_CAP = 16
+
+#: Energies below this are treated as exact zeros to avoid denormal noise.
+ZERO_ENERGY_FLOOR = 1e-30
 
 
 class OracleScaleError(ValueError):
@@ -23,6 +33,14 @@ class OracleScaleError(ValueError):
 
 class EigensolverError(RuntimeError):
     """Raised when the Jacobi sweep fails to converge."""
+
+
+class DegenerateModeError(ValueError):
+    """Raised when the Bogoliubov angle is requested at a gapless mode."""
+
+
+class UndefinedLimitError(ValueError):
+    """Raised for quantities without a finite beta -> 0 limit."""
 
 
 def bdg_matrix(params: ChainParams) -> np.ndarray:
@@ -125,3 +143,65 @@ def enumerate_partition(spec: QuasiparticleSpectrum, beta: float) -> float:
     occ = (states[:, None] >> np.arange(L)) & 1
     energies = occ @ modes - 0.5 * modes.sum()
     return float(np.sum(np.exp(-float(beta) * energies)))
+
+
+def quasiparticle_energy(k, params: ChainParams):
+    """Dispersion sqrt((J cos k + mu)^2 + (Delta f(k)/2)^2) >= 0 at arbitrary k."""
+    f = pairing_function(k, params)
+    return np.hypot(*_bloch_vector(params, np.cos(k), f, params.mu))
+
+
+def bogoliubov_angle(k: float, params: ChainParams) -> float:
+    """Branch-resolved Bogoliubov angle in (-pi/2, pi/2].
+
+    Defined through atan2 of the Bloch-vector components rather than the
+    tan-based form, which is branch-ambiguous.
+    """
+    x, y = _bloch_vector(params, math.cos(k), pairing_function(k, params), params.mu)
+    if x == 0.0 and y == 0.0:
+        raise DegenerateModeError(f"gapless mode at k={k}: Bogoliubov angle undefined")
+    return 0.5 * math.atan2(-y, x)
+
+
+def _check_beta(beta: float) -> float:
+    beta = float(beta)
+    if not (beta >= 0.0) or not math.isfinite(beta):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return beta
+
+
+def _clean_energies(spec: QuasiparticleSpectrum) -> np.ndarray:
+    e = np.asarray(spec.energies, dtype=float)
+    return np.where(e < ZERO_ENERGY_FLOOR, 0.0, e)
+
+
+def log_partition(spec: QuasiparticleSpectrum, beta: float) -> float:
+    """ln Z = L ln 2 + sum_{k>0} 2 ln cosh(beta eps_k / 2)."""
+    beta = _check_beta(beta)
+    e = _clean_energies(spec)
+    L = spec.params.L
+    return L * math.log(2.0) + 2.0 * float(np.sum(lncosh(0.5 * beta * e)))
+
+
+def internal_energy(spec: QuasiparticleSpectrum, beta: float) -> float:
+    """U = -sum_{k>0} eps_k tanh(beta eps_k / 2); always <= 0."""
+    beta = _check_beta(beta)
+    e = _clean_energies(spec)
+    return -float(np.sum(e * np.tanh(0.5 * beta * e)))
+
+
+def free_energy(spec: QuasiparticleSpectrum, beta: float) -> float:
+    """F = -ln Z / beta; undefined at beta = 0."""
+    beta = _check_beta(beta)
+    if beta == 0.0:
+        raise UndefinedLimitError("free energy has no finite beta = 0 limit")
+    return -log_partition(spec, beta) / beta
+
+
+def entropy(spec: QuasiparticleSpectrum, beta: float) -> float:
+    """S = L ln 2 + sum_{k>0} [2 ln cosh(x_k) - 2 x_k tanh(x_k)], x_k = beta eps_k / 2."""
+    beta = _check_beta(beta)
+    e = _clean_energies(spec)
+    x = 0.5 * beta * e
+    L = spec.params.L
+    return L * math.log(2.0) + float(np.sum(2.0 * lncosh(x) - 2.0 * x * np.tanh(x)))

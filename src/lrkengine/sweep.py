@@ -37,12 +37,14 @@ each distinct point once.
 """
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chain import SHORT_RANGE, ChainParams, InvalidParameterError, spectrum_energies
 from .cycles import (
+    RATIO_ZERO_TOL,
     otto_engine_valid,
     otto_mode_sums,
     otto_surface,
@@ -53,6 +55,10 @@ from .cycles import (
 )
 
 CYCLE_KINDS = ("otto", "stirling")
+
+#: The largest rise, relative to max(|R|, 1), that a ratio may show at a
+#: half-step midpoint before its cell counts as a divergence shoulder.
+CUSP_REL_TOL = 0.05
 
 
 class InsufficientDataError(RuntimeError):
@@ -125,17 +131,6 @@ def _check_beta_ratio(beta_ratio):
     """The beta_h/beta_c argument of a sweep entry: in (0, 1], as ``BathPair`` requires."""
     if not 0.0 < beta_ratio <= 1.0:
         raise InvalidParameterError(f"sweeps require 0 < beta_h/beta_c <= 1, got {beta_ratio}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    mu_ratio: float
-    R_W: float
-    R_eta: float
-    dQ_rel: float
-    xi: float
-    engine_lr: bool
-    engine_sr: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,29 +222,26 @@ def _engine_ratios(lr: CycleTable, sr: CycleTable):
     return both, np.where(both, R_W, -np.inf), np.where(both, R_eta, -np.inf)
 
 
-def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> list[SweepRow]:
+def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> dict:
     """Ratio diagnostics along the mu_f/mu_i grid at fixed beta_h/beta_c.
 
-    ``alpha`` is a scalar or a 1-D array; the rows run over the mu grid for
-    each alpha in turn, every alpha against one short-range table.
+    ``alpha`` is a scalar or a 1-D array.  Returns one array per column, in
+    the order ``lrk sweep`` writes them: ``mu_ratio``, ``R_W``, ``R_eta``,
+    ``dQ_rel``, ``xi`` (by ``cycles.ratio_arrays``), ``engine_lr`` and
+    ``engine_sr``.  The rows run over the mu grid for each alpha in turn,
+    every alpha against one short-range table.
     """
     _check_alpha(alpha, ndim=1)
     _check_beta_ratio(beta_ratio)
-    sr = _table(config, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), beta_ratio)
-    rows = []
+    mu = np.asarray(config.mu_ratio_grid, dtype=float)
+    sr = _table(config, _spectra(config, SHORT_RANGE, mu), beta_ratio)
+    parts = []
     for a in np.atleast_1d(alpha):
-        lr = _table(config, _spectra(config, a, config.mu_ratio_grid), beta_ratio)
-        columns = [c.tolist() for c in ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta)]
-        rows.extend(
-            SweepRow(
-                mu_ratio=float(r), R_W=R_W, R_eta=R_eta, dQ_rel=dQ_rel, xi=xi,
-                engine_lr=e_lr, engine_sr=e_sr,
-            )
-            for r, R_W, R_eta, dQ_rel, xi, e_lr, e_sr in zip(
-                config.mu_ratio_grid, *columns, lr.engine_valid.tolist(), sr.engine_valid.tolist()
-            )
-        )
-    return rows
+        lr = _table(config, _spectra(config, a, mu), beta_ratio)
+        parts.append((mu, *ratio_arrays(lr.W, lr.Q_h, lr.eta, sr.W, sr.Q_h, sr.eta),
+                      lr.engine_valid, sr.engine_valid))
+    names = ("mu_ratio", "R_W", "R_eta", "dQ_rel", "xi", "engine_lr", "engine_sr")
+    return {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}
 
 
 def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
@@ -358,7 +350,9 @@ class _Grid:
                 "W": ((lr.W - r) / (sr.W + s), (lr.W + r) / (sr.W - s)),
                 "eta": (eta_lr[0] / eta_sr[1], eta_lr[1] / eta_sr[0]),
             }
-        defined = sr.W - s > 2e-14 * np.maximum(np.maximum(sr.W + s, sr.Q_h + s), 1.0)
+        # The zero test of ratio_arrays on the bounds, at twice its tolerance.
+        defined = sr.W - s > 2.0 * RATIO_ZERO_TOL * np.maximum(
+            np.maximum(sr.W + s, sr.Q_h + s), 1.0)
         banded = both & lr.sure & sr.sure & defined
         tight = not (r.any() or s.any())
         # The exact ratios take up to three roundings of their own.
@@ -436,7 +430,7 @@ class _Walk:
             self.cand = int(live[np.argmax(self.lo[live])])
 
 
-def _cusp_rounds(config: SweepConfig, walks, refine, probes, rel_tol=0.05):
+def _cusp_rounds(config: SweepConfig, walks, refine, probes):
     """Run ``walks`` to their stable maxima in rounds of one batched evaluation.
 
     Each round takes the next candidate of every unfinished walk (after
@@ -445,9 +439,8 @@ def _cusp_rounds(config: SweepConfig, walks, refine, probes, rel_tol=0.05):
     neighbour is known not to be an engine cell.  All probe points of a
     round are evaluated exactly by one ``_evaluate``.  A candidate is exempted
     as a cusp cell when a neighbour probe is not finite, or when a midpoint
-    exceeds R + ``rel_tol`` max(|R|, 1): ``rel_tol`` is the largest rise a half
-    step may show before the cell counts as a shoulder.  A walk that runs
-    out of finite cells fails.
+    exceeds R + ``CUSP_REL_TOL`` max(|R|, 1).  A walk that runs out of finite
+    cells fails.
     """
     active = list(walks)
     while active:
@@ -463,7 +456,7 @@ def _cusp_rounds(config: SweepConfig, walks, refine, probes, rel_tol=0.05):
         k = 0
         for w, ps in plans:
             R = w.lo[w.cand]
-            bound = R + rel_tol * max(abs(R), 1.0)
+            bound = R + CUSP_REL_TOL * max(abs(R), 1.0)
             got = values[w.which][k : k + len(ps or ())]
             k += len(got)
             if ps is not None and not any(
@@ -550,8 +543,9 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
 
     A cell counts only when both chains are engine-valid.  Cells flagged
     unstable under half-step refinement along mu (divergence shoulders at the
-    engine-validity boundary, see ``_cusp_rounds`` with its default
-    ``rel_tol`` of 5%) are exempted from the maxima and listed.  Ties break
+    engine-validity boundary: a half-step midpoint above R by more than
+    ``CUSP_REL_TOL`` max(|R|, 1), see ``_cusp_rounds``) are exempted from the
+    maxima and listed.  Ties break
     toward the smallest grid index.
     """
     _check_alpha(alpha)
@@ -561,6 +555,13 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
     if isinstance(point, InsufficientDataError):
         raise point
     return point
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def max_ratio_grid(config: SweepConfig) -> list:
@@ -575,21 +576,27 @@ def max_ratio_grid(config: SweepConfig) -> list:
     cells the bound leaves undecided, argmax candidates first among them,
     are evaluated by per-mode sums.  With
     ``config.workers`` > 1 a Stirling grid's beta ratios split into at most
-    that many contiguous parts, each run serially in a forked process that
-    builds its own short-range side on its columns; the parts join
-    column-wise.  A forked process starts with the parent's modules loaded,
-    so it is sent only its config.
+    that many contiguous parts, and no more parts than the CPUs this process
+    may run on, each run serially in a forked process that builds its own
+    short-range side on its columns; the parts join column-wise.  A forked
+    process starts with the parent's modules loaded, so it is sent only its
+    config.
 
-    Otto runs serially at any worker count: its surface is a GEMM that
-    already runs on BLAS's threads, and forked workers each start their own,
-    which oversubscribes the cores.  The grid also runs serially where the
-    "fork" start method is missing (Windows) or the caller is a daemonic
-    process, which may not have children.  Forking a process that runs
+    The parts pay only with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``):
+    the Stirling surrogate's GEMMs run on BLAS's threads, and every forked
+    process starts its own, which oversubscribes the cores.  On 2 vCPUs
+    (full default grid, L = 2000, beta_c = 5) workers=2 took 8.1-11.0 s
+    against 12.1-13.9 s serially with BLAS on one thread, but 17.0-17.7 s
+    against 10.8-12.8 s with BLAS on its default threads.  Otto runs serially
+    at any worker count, for the same reason: its surface is a GEMM.  The
+    grid also runs serially where the "fork" start method is missing
+    (Windows) or the caller is a daemonic process, which may not have
+    children.  Forking a process that runs
     threads of its own, Python's or BLAS's, can deadlock, and Python 3.12+
     warns of it: call with ``workers`` = 1 from such a process.
     """
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    n = min(config.workers, brs.size) if config.cycle_kind == "stirling" else 1
+    n = min(config.workers, brs.size, _usable_cpus()) if config.cycle_kind == "stirling" else 1
     if n > 1:
         # Imported here: at module level they raise the peak RSS of every
         # run by 0.8 MB (benchmark grid-otto and point-scan, 8 of 8 pairs).
@@ -634,10 +641,10 @@ def optimal_condition(config: SweepConfig) -> OptimalCondition:
     already kept off divergence shoulders along mu.  The 1/W_sr divergence
     can also run along beta (at beta_c = 5 and mu_f/mu_i = 0, W_sr crosses
     zero near beta_h/beta_c = 0.449), so the same cusp rule, with its
-    default ``rel_tol`` of 5%, is applied along beta: a cell is exempted when
-    a beta neighbour at the same alpha and arg-mu is not engine-valid for
-    both chains, or when the ratio at the half-step beta midpoint exceeds the
-    cell value by more than ``rel_tol``.  Exempted cells are listed in
+    ``CUSP_REL_TOL``, is applied along beta: a cell is exempted when a beta
+    neighbour at the same alpha and arg-mu is not engine-valid for both
+    chains, or when the ratio at the half-step beta midpoint exceeds the
+    cell value by more than ``CUSP_REL_TOL`` max(|R|, 1).  Exempted cells are listed in
     ``cusp_cells_W`` / ``cusp_cells_eta``.  No alpha direction is tested:
     W_sr does not depend on alpha, so the pole cannot run along it.  The walk
     runs serially after ``max_ratio_grid``, so the result is the same for any

@@ -1,86 +1,16 @@
-"""Equilibrium thermodynamics of a quasiparticle spectrum (k_B = 1).
+"""Overflow-safe ln cosh, the one transcendental of the cycles' mode sums.
 
 The partition function of the diagonalized chain factorizes over positive
-momenta, Z = 2^L prod_{k>0} cosh^2(beta eps_k / 2), so every quantity here is
-an O(L) mode sum.  ln cosh is evaluated in its overflow-safe form throughout.
+momenta, Z = 2^L prod_{k>0} cosh^2(beta eps_k / 2), so the mode sums of
+``cycles`` take ln cosh of beta eps_k / 2 on every mode.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .chain import QuasiparticleSpectrum
-
-#: Energies below this are treated as exact zeros to avoid denormal noise.
-ZERO_ENERGY_FLOOR = 1e-30
-
-
-class UndefinedLimitError(ValueError):
-    """Raised for quantities without a finite beta -> 0 limit."""
-
-
-@dataclass(frozen=True)
-class ThermoState:
-    log_Z: float
-    U: float
-    F: float
-    S: float
 
 
 def lncosh(x):
     """ln cosh(x) as |x| + log1p(exp(-2|x|)) - ln 2; safe for |x| up to 1e6+."""
     ax = np.abs(x)
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not (beta >= 0.0) or not math.isfinite(beta):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    return beta
-
-
-def _clean_energies(spec: QuasiparticleSpectrum) -> np.ndarray:
-    e = np.asarray(spec.energies, dtype=float)
-    return np.where(e < ZERO_ENERGY_FLOOR, 0.0, e)
-
-
-def log_partition(spec: QuasiparticleSpectrum, beta: float) -> float:
-    """ln Z = L ln 2 + sum_{k>0} 2 ln cosh(beta eps_k / 2)."""
-    beta = _check_beta(beta)
-    e = _clean_energies(spec)
-    L = spec.params.L
-    return L * math.log(2.0) + 2.0 * float(np.sum(lncosh(0.5 * beta * e)))
-
-
-def internal_energy(spec: QuasiparticleSpectrum, beta: float) -> float:
-    """U = -sum_{k>0} eps_k tanh(beta eps_k / 2); always <= 0."""
-    beta = _check_beta(beta)
-    e = _clean_energies(spec)
-    return -float(np.sum(e * np.tanh(0.5 * beta * e)))
-
-
-def free_energy(spec: QuasiparticleSpectrum, beta: float) -> float:
-    """F = -ln Z / beta; undefined at beta = 0."""
-    beta = _check_beta(beta)
-    if beta == 0.0:
-        raise UndefinedLimitError("free energy has no finite beta = 0 limit")
-    return -log_partition(spec, beta) / beta
-
-
-def entropy(spec: QuasiparticleSpectrum, beta: float) -> float:
-    """S = L ln 2 + sum_{k>0} [2 ln cosh(x_k) - 2 x_k tanh(x_k)], x_k = beta eps_k / 2."""
-    beta = _check_beta(beta)
-    e = _clean_energies(spec)
-    x = 0.5 * beta * e
-    L = spec.params.L
-    return L * math.log(2.0) + float(np.sum(2.0 * lncosh(x) - 2.0 * x * np.tanh(x)))
-
-
-def thermo_state(spec: QuasiparticleSpectrum, beta: float) -> ThermoState:
-    log_Z = log_partition(spec, beta)
-    U = internal_energy(spec, beta)
-    S = entropy(spec, beta)
-    F = -log_Z / beta if beta > 0.0 else math.nan
-    return ThermoState(log_Z=log_Z, U=U, F=F, S=S)

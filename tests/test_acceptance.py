@@ -9,6 +9,7 @@ import math
 import time
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from lrkengine import (
     SweepConfig,
     build_spectrum,
     enhancement_regions,
-    log_partition,
     min_gap,
     optimal_condition,
     otto_cycle,
@@ -30,10 +30,16 @@ from lrkengine import (
     sweep_mu,
     winding_number,
 )
-from lrkengine.oracle import bdg_matrix, enumerate_partition, exact_spectrum
+from lrkengine.oracle import bdg_matrix, enumerate_partition, exact_spectrum, log_partition
 
 L_FULL = 2000
 ALPHAS_SMALL = (1.05, 2.0, 4.0, SHORT_RANGE)
+
+
+def rows(table):
+    """The columns of ``sweep_mu`` as one namespace per row, with a field per column."""
+    return [SimpleNamespace(**dict(zip(table, row)))
+            for row in zip(*(c.tolist() for c in table.values()))]
 
 
 def report(n, ok, detail):
@@ -148,8 +154,8 @@ class TestAcceptance:
 
     def test_criterion_5_otto_figure_ratios(self):
         t0 = time.perf_counter()
-        rows_low = sweep_mu(sweep_config("otto", 5.0), 1.05, 0.2)
-        rows_high = sweep_mu(sweep_config("otto", 0.05), 1.05, 0.2)
+        rows_low = rows(sweep_mu(sweep_config("otto", 5.0), 1.05, 0.2))
+        rows_high = rows(sweep_mu(sweep_config("otto", 0.05), 1.05, 0.2))
 
         band_a = [r.R_W for r in rows_low if 0.55 <= r.mu_ratio <= 0.95]
         ok_a1 = all(v > 1.0 for v in band_a)
@@ -185,12 +191,12 @@ class TestAcceptance:
 
     def test_criterion_7_stirling_figure_ratios(self):
         t0 = time.perf_counter()
-        rows_low = sweep_mu(sweep_config("stirling", 5.0), 1.05, 0.2)
+        rows_low = rows(sweep_mu(sweep_config("stirling", 5.0), 1.05, 0.2))
         finite = [(r.R_W, r.mu_ratio) for r in rows_low if math.isfinite(r.R_W)]
         peak, arg = max(finite)
         ok_peak = abs(arg - 0.5) <= 0.05
 
-        rows_high = sweep_mu(sweep_config("stirling", 0.05), 1.05, 0.2)
+        rows_high = rows(sweep_mu(sweep_config("stirling", 0.05), 1.05, 0.2))
         vals = [(r.R_W, r.R_eta) for r in rows_high
                 if math.isfinite(r.R_W) and math.isfinite(r.R_eta)]
         ok_high = all(w < 1.0 and e < 1.0 for w, e in vals)

@@ -109,8 +109,10 @@ class TestCsvFormat:
         got = json.loads((out / "sweep.json").read_text(), parse_constant=reject)
         cfg = SweepConfig(cycle_kind="otto", base=ChainParams(L=200, alpha=2.0),
                           mu_ratio_grid=tuple(np.linspace(0.0, 1.0, 21)))
+        table = sweep_mu(cfg, 1.05, 0.2)
         want = [{k: None if isinstance(v, float) and np.isnan(v) else v
-                 for k, v in vars(r).items()} for r in sweep_mu(cfg, 1.05, 0.2)]
+                 for k, v in zip(table, row)}
+                for row in zip(*(c.tolist() for c in table.values()))]
         assert got == want
         assert got[-1]["R_W"] is None
 
@@ -246,6 +248,7 @@ class TestExitCodes:
         # With workers > 1 only the workers build the short-range reference.
         monkeypatch.setattr(sweep, "_reference", lambda *args: os._exit(1))
         monkeypatch.setattr(sweep, "default_beta_ratio_grid", lambda: np.array([0.2, 0.4]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code, out = run(tmp_path, "optimal", "--cycle", "stirling", "--workers", "2", *FAST)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -270,15 +273,13 @@ class TestExitCodes:
     def test_flag_of_another_subcommand(self, tmp_path, argv):
         assert run(tmp_path, *argv)[0] == EXIT_CONFIG
 
-    def test_usage_errors_return_codes(self, tmp_path, capsys, monkeypatch):
+    def test_usage_errors_return_codes(self, tmp_path, capsys):
         # argparse's exits come back as main's return value, not SystemExit;
         # an unknown flag is test_flag_of_another_subcommand.
         out = str(tmp_path / "out")
         assert main(["regions", "--cycle", "carnot", "--alpha", "1.5", "-o", out]) == EXIT_CONFIG
         assert main(["--version"]) == EXIT_OK
         assert main(["optimal", "--help"]) == EXIT_OK
-        monkeypatch.setenv("LRK_WORKERS", "abc")
-        assert main(["optimal", "--L", "20", "--mu-steps", "11", "-o", out]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
         assert "Traceback" not in capsys.readouterr().err
 
@@ -524,15 +525,8 @@ class TestConfigFile:
                 except ConfigError as exc:
                     assert "unknown config key" not in str(exc), (name, flags[0])
 
-    def test_env_workers_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LRK_WORKERS", "3")
-        code, out = run(tmp_path, "optimal", "--cycle", "otto", "--L", "20", "--mu-steps", "11")
-        assert code == EXIT_OK
-        manifest = json.loads((out / "run-manifest.json").read_text())
-        assert manifest["inputs"]["workers"] == 3
-
-    def test_workers_precedence(self, tmp_path, monkeypatch):
-        # The --workers flag, then LRK_WORKERS, then the config file.
+    def test_workers_precedence(self, tmp_path):
+        # The --workers flag, then the config file.
         cfg = write_config(tmp_path, {"workers": "2"})
 
         def recorded(name, *extra):
@@ -541,23 +535,8 @@ class TestConfigFile:
             assert code == EXIT_OK
             return json.loads((out / "run-manifest.json").read_text())["inputs"]["workers"]
 
-        monkeypatch.setenv("LRK_WORKERS", "5")
         assert recorded("flag", "--workers", "1") == 1
-        assert recorded("env") == 5
-        monkeypatch.delenv("LRK_WORKERS")
         assert recorded("file") == 2
-
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--cycle", "otto"],
-        ["regions", "--cycle", "otto"],
-    ])
-    def test_env_workers_only_where_read(self, tmp_path, monkeypatch, argv):
-        # A run that does not read the worker count records none.
-        monkeypatch.setenv("LRK_WORKERS", "3")
-        code, out = run(tmp_path, *argv, "--alpha", "1.05", *FAST)
-        assert code == EXIT_OK
-        manifest = json.loads((out / "run-manifest.json").read_text())
-        assert "workers" not in manifest["inputs"]
 
 
 class TestManifest:

@@ -15,12 +15,11 @@ from lrkengine import (
     InvalidParameterError,
     build_spectrum,
     carnot_efficiency,
-    entropy,
-    internal_energy,
     otto_cycle,
     ratio_diagnostics,
     stirling_cycle,
 )
+from lrkengine.oracle import entropy, free_energy, internal_energy
 
 BASE = ChainParams(L=2, J=1.0, Delta=1.0, mu=0.0, alpha=2.0)
 SINGLE = CycleSpec(base=BASE, mu_i=2.0, mu_f=1.0, baths=BathPair(beta_h=1.0, beta_c=5.0))
@@ -115,8 +114,6 @@ class TestStirling:
 
     def test_work_via_free_energy(self):
         # Independent route: W = -dF over each isothermal stroke.
-        from lrkengine import free_energy
-
         spec_i = build_spectrum(BASE.with_mu(2.0))
         spec_f = build_spectrum(BASE.with_mu(1.0))
         bh, bc = SINGLE.baths.beta_h, SINGLE.baths.beta_c

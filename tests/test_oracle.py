@@ -1,12 +1,18 @@
 """Oracle tests: real-space BdG construction, Jacobi eigensolver, and exact
 partition-function enumeration against the closed-form modules."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lrkengine import SHORT_RANGE, ChainParams, build_spectrum, log_partition
+import lrkengine
+from lrkengine import SHORT_RANGE, ChainParams, build_spectrum
 from lrkengine.oracle import (
     ENUMERATION_L_CAP,
     ORACLE_L_CAP,
@@ -15,6 +21,7 @@ from lrkengine.oracle import (
     enumerate_partition,
     exact_spectrum,
     jacobi_eigenvalues,
+    log_partition,
 )
 
 
@@ -105,3 +112,31 @@ class TestEnumeration:
         spec = build_spectrum(chain(ENUMERATION_L_CAP + 2, 2.0, 0.0))
         with pytest.raises(OracleScaleError):
             enumerate_partition(spec, 1.0)
+
+
+#: Names that only tests reach: in ``oracle``, or gone from the package.
+TEST_ONLY = (
+    "log_partition", "internal_energy", "free_energy", "entropy", "UndefinedLimitError",
+    "ZERO_ENERGY_FLOOR", "quasiparticle_energy", "bogoliubov_angle", "DegenerateModeError",
+    "thermo_state", "ThermoState", "SweepRow",
+)
+
+
+class TestRuntimeOracleFree:
+    def test_runtime_does_not_import_oracle(self):
+        # A fresh interpreter, so that no test's import of the oracle counts.
+        code = (
+            "import json, sys, lrkengine, lrkengine.cli\n"
+            "mods = [m for m in sys.modules if m.startswith('lrkengine')]\n"
+            f"names = {{m: sorted(set(vars(sys.modules[m])) & set({TEST_ONLY!r})) for m in mods}}\n"
+            "print(json.dumps(names))\n"
+        )
+        src = str(Path(lrkengine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        names = json.loads(out)
+        assert "lrkengine.oracle" not in names
+        assert "lrkengine.cli" in names
+        assert names == {m: [] for m in names}

@@ -367,11 +367,6 @@ class TestStirlingScreen:
             assert_decisions_match_tables(cfg, alpha, np.asarray(beta_ratios))
 
 
-def columns(rows):
-    """Each ``SweepRow`` field as the bytes of one array."""
-    return {f: np.array([getattr(r, f) for r in rows]).tobytes() for f in vars(rows[0])}
-
-
 class TestSharedReference:
     @settings(max_examples=30, deadline=None)
     @given(kind=kinds, L=st.integers(1, 256).map(lambda n: 2 * n),
@@ -383,5 +378,8 @@ class TestSharedReference:
         # table, gives the rows of one call per alpha, alpha-major, bitwise.
         cfg = sweep_config(kind, L, 2.0, beta_c, mu_ratios)
         got = sweep_mu(cfg, np.asarray(alpha_list), beta_ratio)
-        want = [row for a in alpha_list for row in sweep_mu(cfg, a, beta_ratio)]
-        assert columns(got) == columns(want)
+        each = [sweep_mu(cfg, a, beta_ratio) for a in alpha_list]
+        assert list(got) == list(each[0])
+        for name, column in got.items():
+            want = np.concatenate([e[name] for e in each])
+            assert (column.dtype, column.tobytes()) == (want.dtype, want.tobytes()), name

@@ -9,18 +9,16 @@ import pytest
 from lrkengine import (
     SHORT_RANGE,
     ChainParams,
-    DegenerateModeError,
     GaplessConfigurationError,
     InvalidParameterError,
-    bogoliubov_angle,
     build_spectrum,
     min_gap,
     momentum_grid,
     pairing_function,
-    quasiparticle_energy,
     spectrum_scan,
     winding_number,
 )
+from lrkengine.oracle import DegenerateModeError, bogoliubov_angle, quasiparticle_energy
 
 
 def chain(L=2000, J=1.0, Delta=1.0, mu=0.0, alpha=2.0):

@@ -43,6 +43,12 @@ from lrkengine.cycles import (
 BASE = ChainParams(L=2000, J=1.0, Delta=1.0, mu=0.0, alpha=2.0)
 
 
+def rows(table):
+    """The columns of ``sweep_mu`` as one namespace per row, with a field per column."""
+    return [SimpleNamespace(**dict(zip(table, row)))
+            for row in zip(*(c.tolist() for c in table.values()))]
+
+
 def config(kind="otto", beta_c=5.0, mu_steps=201, **kw):
     return SweepConfig(
         cycle_kind=kind,
@@ -110,10 +116,13 @@ class TestSweepMu:
     def test_rows_match_direct_cycle_evaluation(self, kind):
         cycle = otto_cycle if kind == "otto" else stirling_cycle
         # At beta_h/beta_c = 0.48 both cycles have engine and non-engine rows.
-        rows = sweep_mu(config(kind=kind, mu_steps=11), 2.479, 0.48)
+        table = sweep_mu(config(kind=kind, mu_steps=11), 2.479, 0.48)
+        assert list(table) == ["mu_ratio", "R_W", "R_eta", "dQ_rel", "xi",
+                               "engine_lr", "engine_sr"]
+        cells = rows(table)
         baths = BathPair(beta_h=0.48 * 5.0, beta_c=5.0)
-        assert {r.engine_lr and r.engine_sr for r in rows} == {True, False}
-        for r in rows:
+        assert {r.engine_lr and r.engine_sr for r in cells} == {True, False}
+        for r in cells:
             lr = cycle(CycleSpec(base=replace(BASE, alpha=2.479), mu_i=2.0,
                                  mu_f=2.0 * r.mu_ratio, baths=baths))
             sr = cycle(CycleSpec(base=replace(BASE, alpha=SHORT_RANGE), mu_i=2.0,
@@ -128,16 +137,16 @@ class TestSweepMu:
             assert r.engine_sr == sr.engine_valid
 
     def test_low_temperature_enhancement_above_half(self):
-        rows = {r.mu_ratio: r for r in sweep_mu(config(), 1.05, 0.2)}
-        assert rows[0.8].R_W > 1
+        by_ratio = {r.mu_ratio: r for r in rows(sweep_mu(config(), 1.05, 0.2))}
+        assert by_ratio[0.8].R_W > 1
 
     def test_high_temperature_enhancement_below_half(self):
-        rows = {r.mu_ratio: r for r in sweep_mu(config(beta_c=0.05), 1.05, 0.2)}
-        assert rows[0.25].R_W > 1
+        by_ratio = {r.mu_ratio: r for r in rows(sweep_mu(config(beta_c=0.05), 1.05, 0.2))}
+        assert by_ratio[0.25].R_W > 1
 
     def test_minimum_near_critical_point(self):
-        rows = sweep_mu(config(), 1.05, 0.2)
-        finite = [(r.R_W, r.mu_ratio) for r in rows if r.engine_lr and r.engine_sr]
+        finite = [(r.R_W, r.mu_ratio) for r in rows(sweep_mu(config(), 1.05, 0.2))
+                  if r.engine_lr and r.engine_sr]
         _, arg = min(finite)
         assert abs(arg - 0.5) <= 0.02 + 1e-12
 
@@ -163,6 +172,7 @@ class TestReferenceSharing:
             return sorted(log.read_text().splitlines())
 
         monkeypatch.setattr(sweep, "_spectra", counting)
+        usable_cpus(monkeypatch, 2)
         for kind in ("otto", "stirling"):
             cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.05, 1.5, 3.0),
                          beta_ratio_grid=(0.2, 0.48))
@@ -172,6 +182,11 @@ class TestReferenceSharing:
             parts = builds(lambda: max_ratio_grid(replace(cfg, workers=2)))
             # Otto stays serial at any worker count.
             assert parts == (["(0.2, 0.48)"] if kind == "otto" else ["(0.2,)", "(0.48,)"])
+
+
+def usable_cpus(monkeypatch, n):
+    """Let ``max_ratio_grid`` see ``n`` CPUs that this process may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _no_reference(config, beta_ratios):
@@ -205,6 +220,7 @@ class TestWorkerProcesses:
                       beta_ratio_grid=beta_ratios, **kw)
 
     def test_no_process_left_behind(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
         cfg = self.small((0.2, 0.4), workers=2)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert multiprocessing.active_children() == []
@@ -219,10 +235,30 @@ class TestWorkerProcesses:
     def test_parts_capped_at_columns(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(SerialPool, "made", [])
+        usable_cpus(monkeypatch, 8)
         cfg = self.small((0.2, 0.3, 0.4), workers=8)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert SerialPool.made == [(3, "fork"), [(0.2,), (0.3,), (0.4,)]]
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("source, cpus, made", [
+        ("affinity", 1, []),
+        ("affinity", 2, [(2, "fork"), [(0.2, 0.3), (0.4,)]]),
+        ("cpu_count", 2, [(2, "fork"), [(0.2, 0.3), (0.4,)]]),  # no sched_getaffinity
+    ])
+    def test_parts_capped_at_cpus(self, monkeypatch, source, cpus, made):
+        # Eight workers over three columns fork no more parts than the CPUs
+        # this process may use.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(SerialPool, "made", [])
+        if source == "affinity":
+            usable_cpus(monkeypatch, cpus)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = self.small((0.2, 0.3, 0.4), workers=8)
+        assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
+        assert SerialPool.made == made
 
     @pytest.mark.parametrize("kind, methods, daemon", [
         ("otto", ["fork", "spawn"], False),  # Otto's GEMM has BLAS's threads
