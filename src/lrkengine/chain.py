@@ -220,18 +220,16 @@ def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingR
     return WindingResult(w=float(w), residual=float(residual), grid_density=grid_density)
 
 
-def spectrum_scan(params_base: ChainParams, mu_values) -> list[tuple[float, np.ndarray]]:
-    """Sorted single-particle levels {+-eps_k} for each mu in ``mu_values``.
+def spectrum_scan(params_base: ChainParams, mu_values) -> np.ndarray:
+    """Sorted single-particle levels {+-eps_k}, one row of L per mu in ``mu_values``.
 
-    All mu values are evaluated in one ``spectrum_energies`` call; each
-    ``levels`` is a row of one (len(mu_values), L) array.
+    All mu values are evaluated in one ``spectrum_energies`` call.
     """
     mus = np.asarray(mu_values, dtype=float)
     if not np.all(np.isfinite(mus)):
         raise InvalidParameterError("mu values must be finite")
     e = spectrum_energies(params_base, mus)
-    levels = np.sort(np.concatenate([-e, e], axis=1), axis=1)
-    return list(zip(mus.tolist(), levels))
+    return np.sort(np.concatenate([-e, e], axis=1), axis=1)
 
 
 def min_gap(params: ChainParams) -> float:

@@ -206,11 +206,11 @@ def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
 
 def _spectrum_table(outdir, stem, params, mus, plots):
     """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``."""
-    scan = spectrum_scan(params, mus)
+    levels = spectrum_scan(params, mus)
     _write_csv(os.path.join(outdir, f"{stem}.csv"), ["mu", "level_index", "energy"], [
-        np.repeat(_key_text([mu for mu, _ in scan]), params.L),
-        np.tile(np.arange(params.L), len(scan)),
-        np.concatenate([levels for _, levels in scan]),
+        np.repeat(_key_text(mus), params.L),
+        np.tile(np.arange(params.L), len(levels)),
+        levels.ravel(),
     ])
     if not plots:
         return [f"{stem}.csv"]
@@ -538,10 +538,9 @@ def _build_parser():
     runs["regions"] = add(sub, "regions", "L", "cycle", "alpha", *grid, "plots")
     p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
     p.add_argument("--workers", type=int, default=1,
-                   help="forked processes over parts of the beta_h/beta_c columns of a "
-                        "Stirling grid, at most one per usable CPU (an Otto grid runs "
-                        "serially); they pay only with BLAS on one thread "
-                        "(OPENBLAS_NUM_THREADS=1)")
+                   help="forked processes over strided parts of the alpha rows, for "
+                        "either cycle, at most one per usable CPU; they pay only with "
+                        "BLAS on one thread (OPENBLAS_NUM_THREADS=1)")
 
     figure = sub.add_parser(
         "reproduce-figure", description="Regenerate the data behind figure n (1 or 3-10); "

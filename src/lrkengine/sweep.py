@@ -2,13 +2,12 @@
 enhancement-region masks, and optimal-condition search.
 
 All sweeps are deterministic.  Only ``max_ratio_grid`` (and so
-``optimal_condition``) runs in parallel, on Stirling grids: its beta
-columns split into contiguous parts, each evaluated in a forked process.
-Every column is decided on its own, so the result is identical for any
-worker count.  Each comparison is a long-range cycle against its
-short-range twin, which does not depend on alpha.  Ratios follow
-``cycles.ratio_arrays`` and a cell counts toward a maximum or a region only
-when both chains are engine-valid.
+``optimal_condition``) runs in parallel, for both cycles: its alpha rows
+split into strided parts, each evaluated in a forked process.  Every row
+is decided on its own, so the result is identical for any worker count.
+Each comparison is a long-range cycle against its short-range twin, which
+does not depend on alpha.  Ratios follow ``cycles.ratio_arrays`` and a cell
+counts toward a maximum or a region only when both chains are engine-valid.
 
 Every entry builds its short-range side once per call, and no state
 outlives a call.  ``sweep_mu`` takes one alpha or an array of them and
@@ -194,9 +193,8 @@ def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
 
     ``beta_ratio`` may be a column of one value per spectrum row; each row
     is then bitwise the row of the table at its own beta ratio.  Stirling
-    also takes a 1-D array of beta ratios, for a column per beta ratio.
-    Stirling tables come from ``stirling_surface``, bitwise the per-mode
-    sums.
+    tables come from ``stirling_surface`` at one beta_h per row, bitwise the
+    per-mode sums.
     """
     eps_i, eps_f = spectra
     beta_c = config.beta_c
@@ -205,11 +203,8 @@ def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
         Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        column = np.ndim(beta_h) == 2
-        shape = eps_f.shape[:-1] + (() if column else np.shape(beta_h))
-        surface = stirling_surface(eps_i, eps_f, beta_h if column else np.atleast_1d(beta_h),
-                                   beta_c)
-        W, Q_h = (c.reshape(shape) for c in surface)
+        per_row = np.broadcast_to(beta_h, (len(eps_f), 1))
+        W, Q_h = (c[:, 0] for c in stirling_surface(eps_i, eps_f, per_row, beta_c))
         valid = stirling_engine_valid(W, Q_h)
     eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
     return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
@@ -574,29 +569,25 @@ def max_ratio_grid(config: SweepConfig) -> list:
     screen the cells (see the module docstring): a Stirling chain's
     Chebyshev moments are formed once for all beta ratios, and only the
     cells the bound leaves undecided, argmax candidates first among them,
-    are evaluated by per-mode sums.  With
-    ``config.workers`` > 1 a Stirling grid's beta ratios split into at most
-    that many contiguous parts, and no more parts than the CPUs this process
-    may run on, each run serially in a forked process that builds its own
-    short-range side on its columns; the parts join column-wise.  A forked
-    process starts with the parent's modules loaded, so it is sent only its
-    config.
+    are evaluated by per-mode sums.  With ``config.workers`` > 1 the alpha
+    rows split into at most that many parts, and no more parts than the CPUs
+    this process may run on; part k takes every n-th alpha from the k-th, so
+    the costlier large-alpha rows spread over the parts.  Each part runs
+    serially in a forked process that builds its own short-range side on the
+    whole beta grid, and the rows return to their places.  A forked process
+    starts with the parent's modules loaded, so it is sent only its config.
 
     The parts pay only with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``):
-    the Stirling surrogate's GEMMs run on BLAS's threads, and every forked
-    process starts its own, which oversubscribes the cores.  On 2 vCPUs
-    (full default grid, L = 2000, beta_c = 5) workers=2 took 8.1-11.0 s
-    against 12.1-13.9 s serially with BLAS on one thread, but 17.0-17.7 s
-    against 10.8-12.8 s with BLAS on its default threads.  Otto runs serially
-    at any worker count, for the same reason: its surface is a GEMM.  The
-    grid also runs serially where the "fork" start method is missing
-    (Windows) or the caller is a daemonic process, which may not have
-    children.  Forking a process that runs
-    threads of its own, Python's or BLAS's, can deadlock, and Python 3.12+
-    warns of it: call with ``workers`` = 1 from such a process.
+    both cycles' surfaces are GEMMs on BLAS's threads, and every forked
+    process starts its own, which oversubscribes the cores.  The grid runs
+    serially where the "fork" start method is missing (Windows) or the
+    caller is a daemonic process, which may not have children.  Forking a
+    process that runs threads of its own, Python's or BLAS's, can deadlock,
+    and Python 3.12+ warns of it: call with ``workers`` = 1 from such a
+    process.
     """
-    brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    n = min(config.workers, brs.size, _usable_cpus()) if config.cycle_kind == "stirling" else 1
+    alphas = tuple(config.alpha_grid)
+    n = min(config.workers, len(alphas), _usable_cpus())
     if n > 1:
         # Imported here: at module level they raise the peak RSS of every
         # run by 0.8 MB (benchmark grid-otto and point-scan, 8 of 8 pairs).
@@ -605,13 +596,15 @@ def max_ratio_grid(config: SweepConfig) -> list:
 
         if ("fork" in multiprocessing.get_all_start_methods()
                 and not multiprocessing.current_process().daemon):
-            parts = [replace(config, beta_ratio_grid=tuple(p.tolist()), workers=1)
-                     for p in np.array_split(brs, n)]
+            parts = [replace(config, alpha_grid=alphas[k::n], workers=1) for k in range(n)]
+            rows = [None] * len(alphas)
             with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-                done = list(pool.map(max_ratio_grid, parts))
-            return [[p for row in rows for p in row] for rows in zip(*done)]
+                for k, part in enumerate(pool.map(max_ratio_grid, parts)):
+                    rows[k::n] = part
+            return rows
+    brs = np.asarray(config.beta_ratio_grid, dtype=float)
     ref = _reference(config, brs)
-    rows = [_row(config, a, brs, ref) for a in config.alpha_grid]
+    rows = [_row(config, a, brs, ref) for a in alphas]
     return [[None if isinstance(p, InsufficientDataError) else p for p in row] for row in rows]
 
 

@@ -127,8 +127,10 @@ class TestCsvFormat:
         assert len(lines) == 1 + 5 * 200
         cells = [line.split(",") for line in lines[1:]]
         assert [c[1] for c in cells] == [str(i) for i in range(200)] * 5
-        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), np.linspace(-4.0, 4.0, 5))
-        for b, (mu, levels) in enumerate(scan):
+        mus = np.linspace(-4.0, 4.0, 5)
+        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), mus)
+        assert scan.shape == (5, 200)
+        for b, (mu, levels) in enumerate(zip(mus.tolist(), scan)):
             block = cells[200 * b : 200 * (b + 1)]
             assert all(float(c[0]) == mu for c in block)
             assert np.array_equal([float(c[2]) for c in block], levels)
@@ -137,10 +139,12 @@ class TestCsvFormat:
         code, out = run(tmp_path, "spectrum", "--alpha", "1.5", "--L", "200",
                         "--mu-min", "-1", "--mu-max", "1", "--mu-steps", "5")
         assert code == EXIT_OK
-        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), np.linspace(-1.0, 1.0, 5))
-        assert 0.0 in [mu for mu, _ in scan]
+        mus = np.linspace(-1.0, 1.0, 5)
+        scan = spectrum_scan(ChainParams(L=200, alpha=1.5), mus)
+        assert 0.0 in mus
         want = "mu,level_index,energy\n" + "".join(
-            f"{cell(mu)},{i},{cell(e)}\n" for mu, levels in scan for i, e in enumerate(levels))
+            f"{cell(mu)},{i},{cell(e)}\n"
+            for mu, levels in zip(mus.tolist(), scan) for i, e in enumerate(levels))
         assert (out / "spectrum.csv").read_bytes() == want.encode()
 
     def test_regions_csv_bytes(self, tmp_path):
@@ -244,17 +248,19 @@ class TestExitCodes:
         assert [p.name for p in (tmp_path / "kept").iterdir()] == ["old.txt"]
 
     def test_worker_process_died(self, tmp_path, capsys, monkeypatch):
-        # A worker killed outright (say by the OOM killer) is a config error.
-        # With workers > 1 only the workers build the short-range reference.
+        # A worker killed outright (say by the OOM killer) is a config error,
+        # on either cycle.  With workers > 1 only the workers build the
+        # short-range reference.
         monkeypatch.setattr(sweep, "_reference", lambda *args: os._exit(1))
         monkeypatch.setattr(sweep, "default_beta_ratio_grid", lambda: np.array([0.2, 0.4]))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        code, out = run(tmp_path, "optimal", "--cycle", "stirling", "--workers", "2", *FAST)
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("lrk: config error: a worker process died")
-        assert "Traceback" not in err
-        assert not out.exists()
+        for kind in ("otto", "stirling"):
+            code, out = run(tmp_path / kind, "optimal", "--cycle", kind, "--workers", "2", *FAST)
+            assert code == EXIT_CONFIG, kind
+            err = capsys.readouterr().err
+            assert err.startswith("lrk: config error: a worker process died"), kind
+            assert "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--alpha", "1.5", "--L", "200", "--mu-steps", "-3"],

@@ -295,7 +295,7 @@ class TestStirlingSurface:
     def test_bitwise_mode_sums(self, L, alpha, beta_c, beta_ratios, rows, seed):
         # Every W and Q_h cell equals its row of stirling_mode_sums bitwise,
         # whether the mu rows fill less than one block, exactly one, or end
-        # in a partial block, and so does the sweep table built on it.
+        # in a partial block.
         b = block_rows(L)
         rng = np.random.default_rng(seed)
         n_mu = {"below": int(rng.integers(1, b)), "equal": b,
@@ -303,17 +303,13 @@ class TestStirlingSurface:
         mu_ratios = np.sort(rng.uniform(0.0, 1.0, n_mu))
         mu_ratios[-1] = 1.0  # the row where W is exactly 0
         cfg = sweep_config("stirling", L, 2.0, beta_c, mu_ratios)
-        spectra = _spectra(cfg, alpha, mu_ratios)
-        eps_i, eps_f = spectra
+        eps_i, eps_f = _spectra(cfg, alpha, mu_ratios)
         brs = np.asarray(beta_ratios)
         W, Q_h = stirling_surface(eps_i, eps_f, brs * beta_c, beta_c)
-        table = _table(cfg, spectra, brs)
         for j, beta_h in enumerate(brs * beta_c):
             want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
-            for got in (W, table.W):
-                assert np.array_equal(got[:, j], want_W)
-            for got in (Q_h, table.Q_h):
-                assert np.array_equal(got[:, j], want_Q_h)
+            assert np.array_equal(W[:, j], want_W)
+            assert np.array_equal(Q_h[:, j], want_Q_h)
 
 
 mu_grids_with_one = mu_grids.map(lambda mus: sorted({*mus, 1.0}))

@@ -182,19 +182,20 @@ class TestScansAndGap:
 
     def test_scan_levels_symmetric(self):
         table = spectrum_scan(chain(L=8, alpha=1.5), [0.0, 0.5, 1.5])
-        for _, levels in table:
+        assert table.shape == (3, 8)
+        for levels in table:
             s = np.sort(levels)
             np.testing.assert_allclose(s, -s[::-1], atol=1e-12)
 
     def test_near_critical_gap(self):
         # alpha=4, mu=1: gap close to zero at the level-spacing scale.
         table = spectrum_scan(chain(L=200, alpha=4.0), [1.0])
-        _, levels = table[0]
+        levels = table[0]
         assert np.min(np.abs(levels)) < 5 * (2 * math.pi / 200)
 
     def test_small_alpha_gap_open(self):
         table = spectrum_scan(chain(L=200, alpha=0.4), [-1.0])
-        _, levels = table[0]
+        levels = table[0]
         assert np.min(np.abs(levels)) > 0.1
 
 

@@ -151,37 +151,65 @@ class TestSweepMu:
         assert abs(arg - 0.5) <= 0.02 + 1e-12
 
 
+def log_builds(monkeypatch, log):
+    """Log each build of ``sweep._spectra`` on the whole mu grid to the file ``log``,
+    one line per build: the process id, the alpha and the config's beta ratios.
+    The forked worker processes append to the same file.  Refinements and cusp
+    probes evaluate at most half a grid of rows at a time, so they are not
+    logged."""
+    spectra = sweep._spectra
+
+    def logging_spectra(config, alpha, mu_ratios):
+        if len(mu_ratios) == len(config.mu_ratio_grid):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {alpha!r} {config.beta_ratio_grid}\n")
+        return spectra(config, alpha, mu_ratios)
+
+    monkeypatch.setattr(sweep, "_spectra", logging_spectra)
+
+
+def builds(log, call):
+    """The (pid, alpha, beta ratios) of each logged build during ``call()``."""
+    log.write_text("")
+    call()
+    return [tuple(line.split(" ", 2)) for line in log.read_text().splitlines()]
+
+
 class TestReferenceSharing:
     def test_reference_computed_once(self, monkeypatch, tmp_path):
         # One short-range build on the whole mu grid per call, however many
-        # alphas read it, and with workers > 1 one per part of the beta
-        # columns.  The builds are logged to a file, which the forked worker
-        # processes append to as well.  Refinements and cusp probes evaluate
-        # at most half a grid of rows at a time, so they do not count here.
-        spectra, log = sweep._spectra, tmp_path / "builds"
-
-        def counting(config, alpha, mu_ratios):
-            if alpha == SHORT_RANGE and len(mu_ratios) == len(config.mu_ratio_grid):
-                with open(log, "a") as f:
-                    f.write(f"{config.beta_ratio_grid}\n")
-            return spectra(config, alpha, mu_ratios)
-
-        def builds(call):
-            log.write_text("")
-            call()
-            return sorted(log.read_text().splitlines())
-
-        monkeypatch.setattr(sweep, "_spectra", counting)
+        # alphas read it, and with workers > 1 one per part of the alpha
+        # rows, each on all the beta ratios.
+        log = tmp_path / "builds"
+        log_builds(monkeypatch, log)
         usable_cpus(monkeypatch, 2)
         for kind in ("otto", "stirling"):
             cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.05, 1.5, 3.0),
                          beta_ratio_grid=(0.2, 0.48))
-            for call in (lambda: sweep_mu(cfg, cfg.alpha_grid, 0.2),
-                         lambda: max_ratio_grid(cfg)):
-                assert builds(call) == ["(0.2, 0.48)"], kind
-            parts = builds(lambda: max_ratio_grid(replace(cfg, workers=2)))
-            # Otto stays serial at any worker count.
-            assert parts == (["(0.2, 0.48)"] if kind == "otto" else ["(0.2,)", "(0.48,)"])
+            for call, parts in ((lambda: sweep_mu(cfg, cfg.alpha_grid, 0.2), 1),
+                                (lambda: max_ratio_grid(cfg), 1),
+                                (lambda: max_ratio_grid(replace(cfg, workers=2)), 2)):
+                short = [b for _, alpha, b in builds(log, call) if alpha == repr(SHORT_RANGE)]
+                assert short == ["(0.2, 0.48)"] * parts, kind
+
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    def test_each_alpha_built_once(self, monkeypatch, tmp_path, kind):
+        # With workers=2 on 2 CPUs both cycles fork two parts of the alpha
+        # rows.  Each alpha's long-range spectra are built once per call, in
+        # one worker process, and each worker builds its short range once on
+        # the whole beta grid.
+        log = tmp_path / "builds"
+        log_builds(monkeypatch, log)
+        usable_cpus(monkeypatch, 2)
+        cfg = config(kind=kind, mu_steps=21, alpha_grid=(1.05, 1.5, 3.0),
+                     beta_ratio_grid=(0.2, 0.48), workers=2)
+        logged = builds(log, lambda: max_ratio_grid(cfg))
+        long_range = sorted(alpha for _, alpha, _ in logged if alpha != repr(SHORT_RANGE))
+        assert long_range == sorted(repr(a) for a in cfg.alpha_grid)
+        pids = {pid for pid, _, _ in logged}
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+        short = sorted((pid, b) for pid, alpha, b in logged if alpha == repr(SHORT_RANGE))
+        assert short == sorted((pid, "(0.2, 0.48)") for pid in pids)
 
 
 def usable_cpus(monkeypatch, n):
@@ -190,7 +218,7 @@ def usable_cpus(monkeypatch, n):
 
 
 def _no_reference(config, beta_ratios):
-    raise RuntimeError(f"no reference at {config.beta_ratio_grid}")
+    raise RuntimeError(f"no reference at {config.alpha_grid}")
 
 
 class SerialPool:
@@ -210,18 +238,19 @@ class SerialPool:
 
     def map(self, fn, configs):
         configs = list(configs)
-        self.made.append([c.beta_ratio_grid for c in configs])
+        assert {c.workers for c in configs} == {1}
+        self.made.append([c.alpha_grid for c in configs])
         return map(fn, configs)
 
 
 class TestWorkerProcesses:
-    def small(self, beta_ratios, kind="stirling", **kw):
-        return config(kind=kind, mu_steps=21, alpha_grid=(1.5, 3.0),
-                      beta_ratio_grid=beta_ratios, **kw)
+    def small(self, alphas, kind="stirling", **kw):
+        return config(kind=kind, mu_steps=21, alpha_grid=alphas,
+                      beta_ratio_grid=(0.2, 0.4), **kw)
 
     def test_no_process_left_behind(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
-        cfg = self.small((0.2, 0.4), workers=2)
+        cfg = self.small((1.5, 3.0), workers=2)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert multiprocessing.active_children() == []
         # The workers run _reference; the parent, with workers > 1, does not.
@@ -232,23 +261,23 @@ class TestWorkerProcesses:
                 max_ratio_grid(cfg)
             assert multiprocessing.active_children() == []
 
-    def test_parts_capped_at_columns(self, monkeypatch):
+    def test_parts_capped_at_alphas(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(SerialPool, "made", [])
         usable_cpus(monkeypatch, 8)
-        cfg = self.small((0.2, 0.3, 0.4), workers=8)
+        cfg = self.small((1.5, 2.0, 3.0), workers=8)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
-        assert SerialPool.made == [(3, "fork"), [(0.2,), (0.3,), (0.4,)]]
+        assert SerialPool.made == [(3, "fork"), [(1.5,), (2.0,), (3.0,)]]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("source, cpus, made", [
         ("affinity", 1, []),
-        ("affinity", 2, [(2, "fork"), [(0.2, 0.3), (0.4,)]]),
-        ("cpu_count", 2, [(2, "fork"), [(0.2, 0.3), (0.4,)]]),  # no sched_getaffinity
+        ("affinity", 2, [(2, "fork"), [(1.5, 3.0), (2.0,)]]),
+        ("cpu_count", 2, [(2, "fork"), [(1.5, 3.0), (2.0,)]]),  # no sched_getaffinity
     ])
     def test_parts_capped_at_cpus(self, monkeypatch, source, cpus, made):
-        # Eight workers over three columns fork no more parts than the CPUs
-        # this process may use.
+        # Eight workers over three alphas fork no more parts than the CPUs
+        # this process may use; each part takes every n-th alpha.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(SerialPool, "made", [])
         if source == "affinity":
@@ -256,14 +285,15 @@ class TestWorkerProcesses:
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = self.small((0.2, 0.3, 0.4), workers=8)
+        cfg = self.small((1.5, 2.0, 3.0), workers=8)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert SerialPool.made == made
 
     @pytest.mark.parametrize("kind, methods, daemon", [
-        ("otto", ["fork", "spawn"], False),  # Otto's GEMM has BLAS's threads
-        ("stirling", ["spawn"], False),  # no fork, as on Windows
+        ("otto", ["spawn"], False),  # no fork, as on Windows
+        ("stirling", ["spawn"], False),
         ("stirling", ["fork", "spawn"], True),  # a daemonic process has no children
+        ("otto", ["fork", "spawn"], True),
     ])
     def test_serial_without_pool(self, monkeypatch, kind, methods, daemon):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -271,7 +301,8 @@ class TestWorkerProcesses:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         monkeypatch.setattr(multiprocessing, "current_process",
                             lambda: SimpleNamespace(daemon=daemon))
-        cfg = self.small((0.2, 0.3), kind=kind, workers=2)
+        usable_cpus(monkeypatch, 2)
+        cfg = self.small((1.5, 3.0), kind=kind, workers=2)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert SerialPool.made == []
 
