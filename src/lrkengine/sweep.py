@@ -22,9 +22,12 @@ alpha and decide every cell in one step, ``_Grid``:
   per-mode functions, two GEMMs per chain), or, where the interpolant's
   degree would cost more, the exact ``cycles.stirling_surface`` with a
   bound of 0.
-* A cell's engine validity, its R > 1 tests and its argmax candidacy are
-  read off the surfaces where they lie beyond the bound; every other cell
-  is recomputed from per-mode sums, so each decision equals the tables'.
+* The surfaces only screen.  A cell's engine validity, its R > 1 tests and
+  its argmax candidacy are read off them where they lie beyond the bound,
+  and a row whose eps_f equals eps_i does no work.  Every other cell that
+  may be an engine on both chains is recomputed from both chains' per-mode
+  sums at once (``_exact_ratios``), which decide its validity and its
+  ratios together, so each decision equals the tables'.
 
 Cells are recomputed from one-row spectra gathered into batches of at most
 half a table's rows, each row equal bitwise to the table's: the mode sums
@@ -239,17 +242,6 @@ def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> dict:
     return {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}
 
 
-def _batched(config: SweepConfig, fn, mu_ratios, beta_ratios):
-    """``fn(mu_ratios, beta_ratios)`` in batches of at most half a table's rows
-    (one empty batch for no pairs), joined.  A batch builds its own spectra
-    and mode-sum terms, so half a table keeps it within a table's memory."""
-    mu = np.asarray(mu_ratios, dtype=float)
-    br = np.asarray(beta_ratios, dtype=float)
-    step = max(1, len(config.mu_ratio_grid) // 2)
-    parts = [fn(mu[s : s + step], br[s : s + step]) for s in range(0, max(mu.size, 1), step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def _point_table(config: SweepConfig, alpha, mu_ratios, beta_ratios) -> CycleTable:
     """Exact table rows of one chain at the pairs (mu_ratios[k], beta_ratios[k]).
 
@@ -263,10 +255,19 @@ def _point_table(config: SweepConfig, alpha, mu_ratios, beta_ratios) -> CycleTab
 
 def _exact_ratios(config: SweepConfig, alpha, mu_ratios, beta_ratios):
     """``_engine_ratios`` at the pairs (mu_ratios[k], beta_ratios[k]) from per-mode sums,
-    equal bitwise to the same cells of the tables."""
-    return _batched(config, lambda mu, br: _engine_ratios(
-        _point_table(config, alpha, mu, br), _point_table(config, SHORT_RANGE, mu, br)),
-        mu_ratios, beta_ratios)
+    equal bitwise to the same cells of the tables.
+
+    The pairs go in batches of at most half a table's rows (one empty batch
+    for no pairs), joined.  A batch builds its own spectra and mode-sum
+    terms, so half a table keeps it within a table's memory.
+    """
+    mu = np.asarray(mu_ratios, dtype=float)
+    br = np.asarray(beta_ratios, dtype=float)
+    step = max(1, len(config.mu_ratio_grid) // 2)
+    parts = [_engine_ratios(*(_point_table(config, a, mu[s : s + step], br[s : s + step])
+                              for a in (alpha, SHORT_RANGE)))
+             for s in range(0, max(mu.size, 1), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 @dataclass(eq=False)
@@ -274,47 +275,43 @@ class _Surface:
     """One chain on the (mu_f/mu_i, beta_h/beta_c) grid.
 
     W and Q_h lie within ``r`` of their per-mode sums, and equal them where
-    ``r`` is 0; ``sure`` marks the cells that the surface alone shows to be
-    engines, and ``valid`` is the exact engine validity wherever it was asked
-    for.
+    ``r`` is 0.  ``sure`` marks the cells that the surface alone shows to be
+    engines, and ``maybe`` the cells it cannot show to be none; ``sure``
+    lies within ``maybe``.
     """
 
     W: np.ndarray
     Q_h: np.ndarray
     r: np.ndarray
     sure: np.ndarray
-    valid: np.ndarray
+    maybe: np.ndarray
 
 
-def _surface(config: SweepConfig, alpha, spectra, brs, where=True) -> _Surface:
-    """The surface of ``_spectra`` output at the beta ratios ``brs``:
+def _surface(config: SweepConfig, alpha, brs) -> _Surface:
+    """The surface of one chain on the mu grid at the beta ratios ``brs``:
     ``cycles.otto_surface`` or ``cycles.stirling_bounds``.
 
-    Engine validity is read off the surface where each of its tests (W > 0,
-    and Q_h > -Q_c > 0 for Otto or Q_h > 0 for Stirling) lies beyond the
-    bound; the other cells inside ``where`` are evaluated by per-mode sums.
-    The bound is doubled, so the margins also cover the rounding of the sums
-    that test them.
+    It only screens.  A cell is ``sure`` where each engine test (W > 0, and
+    Q_h > -Q_c > 0 for Otto or Q_h > 0 for Stirling) clears 0 by the bound,
+    and ``maybe`` where none fails by more than the bound.  The bound is
+    doubled, so the margins also cover the rounding of the sums that test
+    them.
     """
-    eps_i, eps_f = spectra
+    eps_i, eps_f = _spectra(config, alpha, config.mu_ratio_grid)
     beta_hs, beta_c = brs * config.beta_c, config.beta_c
     if config.cycle_kind == "otto":
         Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c)
         r = 2.0 * tol
         sure = (W > r) & (Q_h + Q_c > 2.0 * r) & (-Q_c > r)
-        unsure = (W > -r) & (Q_h + Q_c > -2.0 * r) & (-Q_c > -r)
+        maybe = (W > -r) & (Q_h + Q_c > -2.0 * r) & (-Q_c > -r)
     else:
         W, Q_h, tol = stirling_bounds(eps_i, eps_f, beta_hs, beta_c)
         r = 2.0 * tol
         sure = (W > r) & (Q_h > r)
-        unsure = (W > -r) & (Q_h > -r)
-    unsure &= ~sure & where
-    valid = sure.copy()
-    i, j = np.nonzero(unsure)
-    mu = np.asarray(config.mu_ratio_grid, dtype=float)
-    (valid[i, j],) = _batched(
-        config, lambda m, b: (_point_table(config, alpha, m, b).engine_valid,), mu[i], brs[j])
-    return _Surface(W=W, Q_h=Q_h, r=r, sure=sure, valid=valid)
+        maybe = (W > -r) & (Q_h > -r)
+    # Where eps_f equals eps_i the per-mode sums give W exactly 0: no engine.
+    idle = np.all(eps_f == eps_i, axis=1)[:, None]
+    return _Surface(W=W, Q_h=Q_h, r=r, sure=sure & ~idle, maybe=maybe & ~idle)
 
 
 class _Grid:
@@ -333,10 +330,12 @@ class _Grid:
     @classmethod
     def screened(cls, config, alpha, brs, lr: _Surface, sr: _Surface):
         """Bands from the W and Q_h bounds where both chains are sure engines and
-        W_sr stays clear of the zero test of ``ratio_arrays``; every other
-        engine cell is refined at once.  Where both surfaces are exact (both
-        bounds 0 throughout), a band is the exact ratio and its cell exact."""
-        both = lr.valid & sr.valid
+        W_sr stays clear of the zero test of ``ratio_arrays``.  Every other
+        cell that may be an engine on both chains is refined at once, which
+        decides its engine validity; the rest are no engines.  Where both
+        surfaces are exact (both bounds 0 throughout), a band is the exact
+        ratio and its cell exact."""
+        both = lr.sure & sr.sure
         r, s = lr.r, sr.r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eta_lr = ((lr.W - r) / (lr.Q_h + r), (lr.W + r) / (lr.Q_h - r))
@@ -348,20 +347,21 @@ class _Grid:
         # The zero test of ratio_arrays on the bounds, at twice its tolerance.
         defined = sr.W - s > 2.0 * RATIO_ZERO_TOL * np.maximum(
             np.maximum(sr.W + s, sr.Q_h + s), 1.0)
-        banded = both & lr.sure & sr.sure & defined
+        banded = both & defined
         tight = not (r.any() or s.any())
         # The exact ratios take up to three roundings of their own.
         u8 = 0.0 if tight else 4.0 * np.finfo(float).eps
         lo = {k: np.where(banded, b[0] * (1.0 - u8), -np.inf) for k, b in bands.items()}
         hi = {k: np.where(banded, b[1] * (1.0 + u8), -np.inf) for k, b in bands.items()}
         grid = cls(config, alpha, brs, both, lo, hi, ~banded | tight)
-        grid.refine(*np.nonzero(both & ~banded))
+        grid.refine(*np.nonzero(lr.maybe & sr.maybe & ~banded))
         return grid
 
     def refine(self, i, j):
-        """Replace the bands of cells (i[k], j[k]) by their exact ratios."""
+        """Replace the bands and engine validity of cells (i[k], j[k]) by their
+        exact values."""
         mu = np.asarray(self.config.mu_ratio_grid, dtype=float)
-        _, R_W, R_eta = _exact_ratios(self.config, self.alpha, mu[i], self.brs[j])
+        self.both[i, j], R_W, R_eta = _exact_ratios(self.config, self.alpha, mu[i], self.brs[j])
         for k, R in (("W", R_W), ("eta", R_eta)):
             self.lo[k][i, j] = self.hi[k][i, j] = _finite(R)
         self.exact[i, j] = True
@@ -380,14 +380,12 @@ def _finite(R):
 
 def _reference(config: SweepConfig, brs):
     """The short-range side of ``_grid``: its surface at the beta ratios ``brs``."""
-    return _surface(config, SHORT_RANGE, _spectra(config, SHORT_RANGE, config.mu_ratio_grid), brs)
+    return _surface(config, SHORT_RANGE, brs)
 
 
 def _grid(config: SweepConfig, alpha, brs, ref) -> _Grid:
     """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``."""
-    lr = _surface(config, alpha, _spectra(config, alpha, config.mu_ratio_grid), brs,
-                  where=ref.valid)
-    return _Grid.screened(config, alpha, brs, lr, ref)
+    return _Grid.screened(config, alpha, brs, _surface(config, alpha, brs), ref)
 
 
 class _Walk:
@@ -484,7 +482,7 @@ def _evaluate(config: SweepConfig, points):
 
 def _row(config: SweepConfig, alpha, brs, ref) -> list:
     """``max_ratios`` at each of the beta ratios ``brs`` for one alpha: a
-    ``MaxRatioPoint``, or the ``InsufficientDataError`` it would raise.
+    ``MaxRatioPoint``, or None where the column has no stable maximum.
 
     The cusp walks along mu of all columns and both ratios advance together
     in ``_cusp_rounds``.
@@ -492,17 +490,10 @@ def _row(config: SweepConfig, alpha, brs, ref) -> list:
     grid = _grid(config, alpha, brs, ref)
     xs = np.asarray(config.mu_ratio_grid, dtype=float)
     n_valid = np.sum(grid.both, axis=0)
-    row, pairs = [None] * brs.size, []
-    for j in range(brs.size):
-        if n_valid[j] < 3:
-            row[j] = InsufficientDataError(
-                f"only {n_valid[j]} engine-valid grid points at alpha={alpha}, "
-                f"beta_h/beta_c={brs[j]}; need at least 3"
-            )
-        else:
-            pairs.append(tuple(
-                _Walk(k, grid.lo[k][:, j], grid.hi[k][:, j], grid.exact[:, j], key=j)
-                for k in ("W", "eta")))
+    row = [None] * brs.size
+    pairs = [tuple(_Walk(k, grid.lo[k][:, j], grid.hi[k][:, j], grid.exact[:, j], key=j)
+                   for k in ("W", "eta"))
+             for j in np.flatnonzero(n_valid >= 3)]
 
     def refine(needs):
         cells = np.unique(np.concatenate([idx * brs.size + w.key for w, idx in needs]))
@@ -519,7 +510,6 @@ def _row(config: SweepConfig, alpha, brs, ref) -> list:
     for w_W, w_eta in pairs:
         j = w_W.key
         if w_W.failed or w_eta.failed:
-            row[j] = InsufficientDataError("no refinement-stable maximum on the grid")
             continue
         row[j] = MaxRatioPoint(
             R_W_max=float(w_W.lo[w_W.index]),
@@ -547,8 +537,10 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
     _check_beta_ratio(beta_ratio)
     brs = np.array([beta_ratio], dtype=float)
     (point,) = _row(config, alpha, brs, _reference(config, brs))
-    if isinstance(point, InsufficientDataError):
-        raise point
+    if point is None:
+        raise InsufficientDataError(
+            f"no maximum at alpha={alpha}, beta_h/beta_c={beta_ratio}: fewer than 3 "
+            "engine-valid grid points, or every candidate a cusp cell")
     return point
 
 
@@ -604,8 +596,7 @@ def max_ratio_grid(config: SweepConfig) -> list:
             return rows
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
     ref = _reference(config, brs)
-    rows = [_row(config, a, brs, ref) for a in alphas]
-    return [[None if isinstance(p, InsufficientDataError) else p for p in row] for row in rows]
+    return [_row(config, a, brs, ref) for a in alphas]
 
 
 def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:

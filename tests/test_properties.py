@@ -250,9 +250,12 @@ class TestOttoSurface:
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0])
     @example(L=64, alpha=12.0, mu_i=2.0, beta_c=0.05, beta_ratios=[0.1, 0.3, 0.5],
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0])
+    @example(L=64, alpha=1.5, mu_i=0.0, beta_c=5.0, beta_ratios=[0.1, 0.5],
+             mu_ratios=[0.0, 0.5, 1.0])
     def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios):
         # Near mu_f = mu_i, W is within the surface bound of 0 and R_W and
-        # R_eta straddle 1, so the examples exercise every refinement.
+        # R_eta straddle 1, so the examples exercise every refinement.  At
+        # mu_i = 0 every row has mu_f = mu_i and does no work.
         cfg = sweep_config("otto", L, mu_i, beta_c, mu_ratios)
         assert_decisions_match_tables(cfg, alpha, np.asarray(beta_ratios))
 
@@ -352,6 +355,8 @@ class TestStirlingScreen:
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0], screen=True)
     @example(L=64, alpha=12.0, mu_i=2.0, beta_c=0.05, beta_ratios=[0.1, 0.3, 0.5],
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0], screen=True)
+    @example(L=64, alpha=1.5, mu_i=0.0, beta_c=5.0, beta_ratios=[0.1, 0.5],
+             mu_ratios=[0.0, 0.5, 1.0], screen=True)
     def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios,
                                     screen):
         # As for Otto, on the Chebyshev surrogate wherever ``screen`` holds,

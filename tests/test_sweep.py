@@ -408,6 +408,27 @@ class TestEvaluate:
             assert twice[k].tobytes() == np.concatenate([once[k], once[k]]).tobytes()
 
 
+class TestScreen:
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    @pytest.mark.parametrize("beta_c", [5.0, 0.05])
+    def test_no_row_at_equal_mu(self, kind, beta_c, monkeypatch):
+        # At mu_f = mu_i the spectra are equal and W is exactly 0 on both
+        # chains, so the surfaces rule the row out and no per-mode row of it
+        # is ever evaluated.
+        cfg = replace(config(kind=kind, beta_c=beta_c, alpha_grid=(1.5, 3.0)),
+                      base=replace(BASE, L=200))
+        point_table, mus = sweep._point_table, []
+
+        def recording(config, alpha, mu_ratios, beta_ratios):
+            mus.extend(mu_ratios)
+            return point_table(config, alpha, mu_ratios, beta_ratios)
+
+        monkeypatch.setattr(sweep, "_point_table", recording)
+        enhancement_regions(cfg, 1.5)
+        max_ratio_grid(cfg)
+        assert mus and 1.0 not in mus
+
+
 class TestOptimalCondition:
     def small(self, kind, workers=1):
         return SweepConfig(

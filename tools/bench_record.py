@@ -34,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "LRK_WORKERS")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUNS, SEED, SECONDS = 3, 0, 15
 
@@ -47,7 +47,7 @@ print(json.dumps({"numpy": np.__version__, "blas": {k: blas[k] for k in keep if 
 
 
 def env_for(repo, pinned):
-    env = {k: v for k, v in os.environ.items() if k != "LRK_WORKERS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repo) / "src")
     if pinned:
         env.update(PINNED)
