@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import time
@@ -480,6 +481,16 @@ _FIGURES = {
 # argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that takes an exponent-form negative number, such as
+    ``--mu-min -5e-05``, for a value, as Python 3.13's argparse does; before 3.13
+    it is taken for an option.  Its sub-parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _flag(*names, **kwargs):
     """A parent parser declaring one flag, shared by the runs that read it."""
     parser = argparse.ArgumentParser(add_help=False)
@@ -513,7 +524,7 @@ def _build_parser():
     def add(group, name, *reads):
         return group.add_parser(name, parents=[common, *(flags[k] for k in reads)])
 
-    parser = argparse.ArgumentParser(prog="lrk", description=__doc__)
+    parser = _Parser(prog="lrk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lrk {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     runs = {}

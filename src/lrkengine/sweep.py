@@ -33,9 +33,10 @@ Cells are recomputed from one-row spectra gathered into batches of at most
 half a table's rows, each row equal bitwise to the table's: the mode sums
 form their beta_c terms themselves, elementwise on the rows they are given,
 and Stirling rows pass through ``stirling_surface`` at one beta_h per row.
-The cusp walks (``_cusp_rounds``) advance in rounds: each round evaluates the
-half-step midpoints of every unresolved column's current candidate together,
-each distinct point once.
+The cusp walks (``_stable_maxima``) treat each column of an array as one walk
+and advance all columns in rounds: each round evaluates the half-step
+midpoints of every unresolved column's current candidate together, each
+distinct point once.
 """
 
 import math
@@ -125,6 +126,8 @@ def _check_alpha(alpha, ndim=0):
     1-D array: each > 1, as cycles require, or SHORT_RANGE."""
     if np.ndim(alpha) > ndim:
         raise InvalidParameterError(f"alpha must be {('a scalar', '1-D')[ndim]}, got {alpha!r}")
+    if np.size(alpha) == 0:
+        raise InvalidParameterError("alpha must hold at least one value, got none")
     if not np.all(np.asarray(alpha, dtype=float) > 1.0):
         raise InvalidParameterError(f"sweeps require alpha > 1 or SHORT_RANGE, got {alpha}")
 
@@ -317,10 +320,10 @@ def _surface(config: SweepConfig, alpha, brs) -> _Surface:
 class _Grid:
     """The decisions of one alpha against the short range on the (mu, beta) grid.
 
-    ``both`` is the exact engine validity of both chains.  For each ratio
-    (``"W"``, ``"eta"``), ``lo`` and ``hi`` bound the exact value of
-    ``_engine_ratios`` and equal it where ``exact``; a ratio that is not
-    finite reads -inf.  ``refine`` makes cells exact.
+    ``both`` is the exact engine validity of both chains.  ``lo`` and ``hi``
+    hold (R_W, R_eta) on axis 1 of an (n_mu, 2, n_beta) array: they bound the
+    exact value of ``_engine_ratios`` and equal it where ``exact``; a ratio
+    that is not finite reads -inf.  ``refine`` makes cells exact.
     """
 
     def __init__(self, config, alpha, brs, both, lo, hi, exact):
@@ -328,33 +331,32 @@ class _Grid:
         self.both, self.lo, self.hi, self.exact = both, lo, hi, exact
 
     @classmethod
-    def screened(cls, config, alpha, brs, lr: _Surface, sr: _Surface):
-        """Bands from the W and Q_h bounds where both chains are sure engines and
-        W_sr stays clear of the zero test of ``ratio_arrays``.  Every other
-        cell that may be an engine on both chains is refined at once, which
-        decides its engine validity; the rest are no engines.  Where both
-        surfaces are exact (both bounds 0 throughout), a band is the exact
-        ratio and its cell exact."""
+    def screened(cls, config, alpha, brs, sr: _Surface):
+        """The grid of ``alpha`` against the short-range surface ``sr``.
+
+        Bands from the W and Q_h bounds where both chains are sure engines
+        and W_sr stays clear of the zero test of ``ratio_arrays``, widened by
+        the rounding of the exact ratios.  Every other cell that may be an
+        engine on both chains is refined at once, which decides its engine
+        validity; the rest are no engines."""
+        lr = _surface(config, alpha, brs)
         both = lr.sure & sr.sure
         r, s = lr.r, sr.r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eta_lr = ((lr.W - r) / (lr.Q_h + r), (lr.W + r) / (lr.Q_h - r))
             eta_sr = ((sr.W - s) / (sr.Q_h + s), (sr.W + s) / (sr.Q_h - s))
-            bands = {
-                "W": ((lr.W - r) / (sr.W + s), (lr.W + r) / (sr.W - s)),
-                "eta": (eta_lr[0] / eta_sr[1], eta_lr[1] / eta_sr[0]),
-            }
+            lo = np.stack(((lr.W - r) / (sr.W + s), eta_lr[0] / eta_sr[1]), axis=1)
+            hi = np.stack(((lr.W + r) / (sr.W - s), eta_lr[1] / eta_sr[0]), axis=1)
         # The zero test of ratio_arrays on the bounds, at twice its tolerance.
         defined = sr.W - s > 2.0 * RATIO_ZERO_TOL * np.maximum(
             np.maximum(sr.W + s, sr.Q_h + s), 1.0)
-        banded = both & defined
-        tight = not (r.any() or s.any())
+        banded = (both & defined)[:, None, :]
         # The exact ratios take up to three roundings of their own.
-        u8 = 0.0 if tight else 4.0 * np.finfo(float).eps
-        lo = {k: np.where(banded, b[0] * (1.0 - u8), -np.inf) for k, b in bands.items()}
-        hi = {k: np.where(banded, b[1] * (1.0 + u8), -np.inf) for k, b in bands.items()}
-        grid = cls(config, alpha, brs, both, lo, hi, ~banded | tight)
-        grid.refine(*np.nonzero(lr.maybe & sr.maybe & ~banded))
+        u8 = 4.0 * np.finfo(float).eps
+        lo = np.where(banded, lo * (1.0 - u8), -np.inf)
+        hi = np.where(banded, hi * (1.0 + u8), -np.inf)
+        grid = cls(config, alpha, brs, both, lo, hi, np.repeat(~banded, 2, axis=1))
+        grid.refine(*np.nonzero(lr.maybe & sr.maybe & ~banded[:, 0]))
         return grid
 
     def refine(self, i, j):
@@ -362,163 +364,120 @@ class _Grid:
         exact values."""
         mu = np.asarray(self.config.mu_ratio_grid, dtype=float)
         self.both[i, j], R_W, R_eta = _exact_ratios(self.config, self.alpha, mu[i], self.brs[j])
-        for k, R in (("W", R_W), ("eta", R_eta)):
-            self.lo[k][i, j] = self.hi[k][i, j] = _finite(R)
-        self.exact[i, j] = True
+        self.lo[i, :, j] = self.hi[i, :, j] = _finite(np.stack((R_W, R_eta), axis=1))
+        self.exact[i, :, j] = True
 
     def region_mask(self):
         """Cells with R_W > 1 and R_eta > 1, refining those whose bands straddle 1."""
-        yes = (self.lo["W"] > 1.0) & (self.lo["eta"] > 1.0)
-        no = (self.hi["W"] <= 1.0) | (self.hi["eta"] <= 1.0)
+        yes = np.all(self.lo > 1.0, axis=1)
+        no = np.any(self.hi <= 1.0, axis=1)
         self.refine(*np.nonzero(~yes & ~no))
-        return (self.lo["W"] > 1.0) & (self.lo["eta"] > 1.0)
+        return np.all(self.lo > 1.0, axis=1)
 
 
 def _finite(R):
     return np.where(np.isfinite(R), R, -np.inf)
 
 
-def _reference(config: SweepConfig, brs):
-    """The short-range side of ``_grid``: its surface at the beta ratios ``brs``."""
-    return _surface(config, SHORT_RANGE, brs)
-
-
-def _grid(config: SweepConfig, alpha, brs, ref) -> _Grid:
-    """The decided ``_Grid`` of ``alpha`` against the ``_reference`` ``ref``."""
-    return _Grid.screened(config, alpha, brs, _surface(config, alpha, brs), ref)
-
-
-class _Walk:
-    """One cusp walk over an array of cells, evaluated lazily.
+def _stable_maxima(lo, hi, exact, refine, stable):
+    """The stable maximum of each column of an (n, m) array, and its cusp cells.
 
     Ratio surfaces diverge like 1/W_sr where the short-range work crosses
     zero at the edge of the engine-valid region; the shoulder cells of such a
-    divergence are not maxima of anything physical.  Cells are taken in order
-    of descending R, ties to the smallest index, and each candidate is tested
-    by ``_cusp_rounds``.  ``lo`` and ``hi`` bound R (-inf where it is not
-    finite) and equal it where ``exact``; ``needed`` lists the inexact cells
-    that could still be the next candidate, and once they are exact ``take``
-    picks it, every other inexact cell lying strictly below it.
+    divergence are not maxima of anything physical.  Each column is one walk:
+    its cells are taken in order of descending R, ties to the smallest index,
+    and each candidate is tested by ``stable``.  ``lo`` and ``hi`` bound R
+    (-inf where it is not finite) and equal it where ``exact``; a cell whose
+    ``hi`` is -inf at the start is never a candidate.
+
+    All open columns advance together, one round at a time.  A round first
+    calls ``refine(i, c)`` once on every alive inexact cell (i[k], c[k]) whose
+    ``hi`` reaches its column's top ``lo``; ``refine`` makes them exact in
+    ``lo``, ``hi`` and ``exact``, so every inexact cell left lies strictly
+    below the next candidate.  The candidate of a column is then its largest
+    alive exact cell, and a column with none fails.  ``stable(cand, cols)``
+    returns the verdicts on all candidates of the round at once; an unstable
+    candidate is exempted as a cusp cell and its column walks on.
+
+    Returns each column's index (-1 where the column fails) and, per column,
+    its cusp cells in the order they were exempted.
     """
-
-    def __init__(self, which, lo, hi, exact, key=None):
-        self.which, self.lo, self.hi, self.exact, self.key = which, lo, hi, exact, key
-        self.alive = hi > -np.inf
-        self.cand = None
-        self.cusps = []
-        self.index = None
-        self.failed = False
-
-    def needed(self):
-        if not self.alive.any():
-            return np.zeros(0, dtype=int)
-        top = self.lo[self.alive].max()
-        return np.flatnonzero(self.alive & ~self.exact & (self.hi >= top))
-
-    def take(self):
-        live = np.flatnonzero(self.alive & self.exact)
-        if live.size == 0:
-            self.failed = True
-        else:
-            self.cand = int(live[np.argmax(self.lo[live])])
-
-
-def _cusp_rounds(config: SweepConfig, walks, refine, probes):
-    """Run ``walks`` to their stable maxima in rounds of one batched evaluation.
-
-    Each round takes the next candidate of every unfinished walk (after
-    ``refine`` has made the cells it needs exact) and its ``probes``: a list
-    of ((alpha, mu_ratio, beta_ratio), is_midpoint), or None when a grid
-    neighbour is known not to be an engine cell.  All probe points of a
-    round are evaluated exactly by one ``_evaluate``.  A candidate is exempted
-    as a cusp cell when a neighbour probe is not finite, or when a midpoint
-    exceeds R + ``CUSP_REL_TOL`` max(|R|, 1).  A walk that runs out of finite
-    cells fails.
-    """
-    active = list(walks)
-    while active:
-        needs = [(w, w.needed()) for w in active if w.cand is None]
-        if any(idx.size for _, idx in needs):
-            refine(needs)
-        for w in active:
-            if w.cand is None:
-                w.take()
-        active = [w for w in active if not w.failed]
-        plans = [(w, probes(w)) for w in active]
-        values = _evaluate(config, [p for _, ps in plans for p, _ in ps or ()])
-        k = 0
-        for w, ps in plans:
-            R = w.lo[w.cand]
-            bound = R + CUSP_REL_TOL * max(abs(R), 1.0)
-            got = values[w.which][k : k + len(ps or ())]
-            k += len(got)
-            if ps is not None and not any(
-                v > bound if is_mid else not v > -math.inf for v, (_, is_mid) in zip(got, ps)
-            ):
-                w.index = w.cand
-            else:
-                w.cusps.append(w.cand)
-                w.alive[w.cand] = False
-                w.cand = None
-        active = [w for w in active if w.index is None]
-
-
-def _evaluate(config: SweepConfig, points):
-    """Exact {"W": R_W, "eta": R_eta} at points (alpha, mu_ratio, beta_ratio),
-    each distinct point evaluated once, in one batched evaluation per alpha."""
-    index = {}
-    back = [index.setdefault(p, len(index)) for p in points]
-    distinct = list(index)
-    out = {"W": np.empty(len(distinct)), "eta": np.empty(len(distinct))}
-    groups = {}
-    for k, (alpha, _, _) in enumerate(distinct):
-        groups.setdefault(alpha, []).append(k)
-    for alpha, ks in groups.items():
-        _, R_W, R_eta = _exact_ratios(
-            config, alpha, [distinct[k][1] for k in ks], [distinct[k][2] for k in ks])
-        out["W"][ks], out["eta"][ks] = R_W, R_eta
-    return {k: v[back] for k, v in out.items()}
+    m = lo.shape[1]
+    alive = hi > -np.inf
+    index = np.full(m, -1)
+    cusps = [[] for _ in range(m)]
+    cols = np.arange(m)
+    while cols.size:
+        on = alive[:, cols]
+        top = np.where(on, lo[:, cols], -np.inf).max(axis=0)
+        i, c = np.nonzero(on & ~exact[:, cols] & (hi[:, cols] >= top))
+        if i.size:
+            refine(i, cols[c])
+        live = on & exact[:, cols]
+        has = live.any(axis=0)
+        cols, live = cols[has], live[:, has]
+        R = np.where(live, lo[:, cols], -np.inf)
+        cand = np.argmax(live & (R == R.max(axis=0)), axis=0)
+        ok = stable(cand, cols)
+        index[cols[ok]] = cand[ok]
+        cand, cols = cand[~ok], cols[~ok]
+        alive[cand, cols] = False
+        for cell, col in zip(cand, cols):
+            cusps[col].append(int(cell))
+    return index, cusps
 
 
 def _row(config: SweepConfig, alpha, brs, ref) -> list:
-    """``max_ratios`` at each of the beta ratios ``brs`` for one alpha: a
-    ``MaxRatioPoint``, or None where the column has no stable maximum.
+    """``max_ratios`` at each of the beta ratios ``brs`` for one alpha, against
+    the short-range surface ``ref``: a ``MaxRatioPoint``, or None where the
+    column has no stable maximum.
 
     The cusp walks along mu of all columns and both ratios advance together
-    in ``_cusp_rounds``.
+    in ``_stable_maxima``, over the (R_W, R_eta) columns of the grid side by
+    side; a column with fewer than 3 engine cells has none.
     """
-    grid = _grid(config, alpha, brs, ref)
+    grid = _Grid.screened(config, alpha, brs, ref)
     xs = np.asarray(config.mu_ratio_grid, dtype=float)
+    nb = brs.size
     n_valid = np.sum(grid.both, axis=0)
-    row = [None] * brs.size
-    pairs = [tuple(_Walk(k, grid.lo[k][:, j], grid.hi[k][:, j], grid.exact[:, j], key=j)
-                   for k in ("W", "eta"))
-             for j in np.flatnonzero(n_valid >= 3)]
+    grid.hi[:, :, n_valid < 3] = -np.inf
+    lo, hi, exact = (a.reshape(xs.size, 2 * nb) for a in (grid.lo, grid.hi, grid.exact))
 
-    def refine(needs):
-        cells = np.unique(np.concatenate([idx * brs.size + w.key for w, idx in needs]))
-        grid.refine(*np.divmod(cells, brs.size))
+    def refine(i, c):
+        grid.refine(*np.divmod(np.unique(i * nb + c % nb), nb))
 
-    def probes(w):
-        i, j = w.cand, w.key
-        nbs = [n for n in (i - 1, i + 1) if 0 <= n < xs.size]
-        if not grid.both[nbs, j].all():
-            return None
-        return [((alpha, 0.5 * (xs[i] + xs[n]), brs[j]), True) for n in nbs]
+    def stable(cand, cols):
+        # A candidate is a cusp where a mu neighbour is no engine cell on both
+        # chains, or where a half-step midpoint rises above R by more than
+        # CUSP_REL_TOL max(|R|, 1).
+        j, k = cols % nb, cols // nb
+        nbs = cand[:, None] + np.array([-1, 1])
+        inside = (nbs >= 0) & (nbs < xs.size)
+        nbs = np.clip(nbs, 0, xs.size - 1)
+        engine = np.all(grid.both[nbs, j[:, None]] | ~inside, axis=1)
+        p, q = np.nonzero(inside & engine[:, None])
+        v = np.full(nbs.shape, -np.inf)
+        if p.size:
+            points = np.stack((0.5 * (xs[cand[p]] + xs[nbs[p, q]]), brs[j[p]]), axis=1)
+            pairs, back = np.unique(points, axis=0, return_inverse=True)
+            _, R_W, R_eta = _exact_ratios(config, alpha, pairs[:, 0], pairs[:, 1])
+            v[p, q] = np.stack((R_W, R_eta))[k[p], back.ravel()]
+        R = lo[cand, cols]
+        bound = R + CUSP_REL_TOL * np.maximum(np.abs(R), 1.0)
+        return engine & ~np.any(v > bound[:, None], axis=1)
 
-    _cusp_rounds(config, [w for p in pairs for w in p], refine, probes)
-    for w_W, w_eta in pairs:
-        j = w_W.key
-        if w_W.failed or w_eta.failed:
-            continue
+    index, cusps = _stable_maxima(lo, hi, exact, refine, stable)
+    row = [None] * nb
+    for j in np.flatnonzero((index[:nb] >= 0) & (index[nb:] >= 0)):
+        i_W, i_eta = index[j], index[nb + j]
         row[j] = MaxRatioPoint(
-            R_W_max=float(w_W.lo[w_W.index]),
-            R_eta_max=float(w_eta.lo[w_eta.index]),
-            arg_mu_ratio_W=float(xs[w_W.index]),
-            arg_mu_ratio_eta=float(xs[w_eta.index]),
+            R_W_max=float(lo[i_W, j]),
+            R_eta_max=float(lo[i_eta, nb + j]),
+            arg_mu_ratio_W=float(xs[i_W]),
+            arg_mu_ratio_eta=float(xs[i_eta]),
             excluded=int(xs.size - n_valid[j]),
-            cusp_mu_ratios_W=tuple(float(xs[i]) for i in w_W.cusps),
-            cusp_mu_ratios_eta=tuple(float(xs[i]) for i in w_eta.cusps),
+            cusp_mu_ratios_W=tuple(float(xs[i]) for i in cusps[j]),
+            cusp_mu_ratios_eta=tuple(float(xs[i]) for i in cusps[nb + j]),
         )
     return row
 
@@ -529,14 +488,14 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
     A cell counts only when both chains are engine-valid.  Cells flagged
     unstable under half-step refinement along mu (divergence shoulders at the
     engine-validity boundary: a half-step midpoint above R by more than
-    ``CUSP_REL_TOL`` max(|R|, 1), see ``_cusp_rounds``) are exempted from the
+    ``CUSP_REL_TOL`` max(|R|, 1), see ``_stable_maxima``) are exempted from the
     maxima and listed.  Ties break
     toward the smallest grid index.
     """
     _check_alpha(alpha)
     _check_beta_ratio(beta_ratio)
     brs = np.array([beta_ratio], dtype=float)
-    (point,) = _row(config, alpha, brs, _reference(config, brs))
+    (point,) = _row(config, alpha, brs, _surface(config, SHORT_RANGE, brs))
     if point is None:
         raise InsufficientDataError(
             f"no maximum at alpha={alpha}, beta_h/beta_c={beta_ratio}: fewer than 3 "
@@ -595,7 +554,7 @@ def max_ratio_grid(config: SweepConfig) -> list:
                     rows[k::n] = part
             return rows
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    ref = _reference(config, brs)
+    ref = _surface(config, SHORT_RANGE, brs)
     return [_row(config, a, brs, ref) for a in alphas]
 
 
@@ -607,7 +566,7 @@ def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
     """
     _check_alpha(alpha)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    grid = _grid(config, alpha, brs, _reference(config, brs))
+    grid = _Grid.screened(config, alpha, brs, _surface(config, SHORT_RANGE, brs))
     return RegionMap(
         mu_ratio_grid=np.asarray(config.mu_ratio_grid, dtype=float),
         beta_ratio_grid=brs,
@@ -648,23 +607,26 @@ def optimal_condition(config: SweepConfig) -> OptimalCondition:
         raise InsufficientDataError("no engine-valid (alpha, beta ratio) grid points")
 
     nb = brs.size
-    arg_mu = {"W": mu_W_m.ravel(), "eta": mu_eta_m.ravel()}
+    R = np.stack((R_W_m.ravel(), R_eta_m.ravel()), axis=1)
+    arg_mu = np.stack((mu_W_m.ravel(), mu_eta_m.ravel()), axis=1)
 
-    def probes(w):
-        i, j = divmod(w.cand, nb)
-        mu = arg_mu[w.which][w.cand]
-        nbs = [j + d for d in (-1, 1) if 0 <= j + d < nb]
-        return ([((alphas[i], mu, brs[n]), False) for n in nbs]
-                + [((alphas[i], mu, 0.5 * (brs[j] + brs[n])), True) for n in nbs])
+    def stable(cand, cols):
+        verdicts = []
+        for c, k in zip(cand, cols):
+            i, j = divmod(c, nb)
+            nbs = [j + d for d in (-1, 1) if 0 <= j + d < nb]
+            betas = [brs[n] for n in nbs] + [0.5 * (brs[j] + brs[n]) for n in nbs]
+            v = _exact_ratios(config, alphas[i], np.full(len(betas), arg_mu[c, k]), betas)[1 + k]
+            bound = R[c, k] + CUSP_REL_TOL * max(abs(R[c, k]), 1.0)
+            verdicts.append(np.all(v[: len(nbs)] > -np.inf) and not np.any(v[len(nbs):] > bound))
+        return np.array(verdicts, dtype=bool)
 
-    walks = [_Walk(k, R.ravel(), R.ravel(), np.ones(R.size, dtype=bool))
-             for k, R in (("W", R_W_m), ("eta", R_eta_m))]
-    _cusp_rounds(config, walks, None, probes)
-    if any(w.failed for w in walks):
+    index, cusps = _stable_maxima(R, R, np.ones(R.shape, dtype=bool), None, stable)
+    if np.any(index < 0):
         raise InsufficientDataError("no refinement-stable maximum on the grid")
-    (iW, jW), (iE, jE) = (divmod(w.index, nb) for w in walks)
+    (iW, jW), (iE, jE) = (divmod(int(c), nb) for c in index)
     cusps_W, cusps_eta = (
-        tuple((float(alphas[c // nb]), float(brs[c % nb])) for c in w.cusps) for w in walks)
+        tuple((float(alphas[c // nb]), float(brs[c % nb])) for c in cs) for cs in cusps)
     coincident = abs(iW - iE) <= 1 and abs(jW - jE) <= 1
     return OptimalCondition(
         alpha_star_W=float(alphas[iW]),

@@ -147,6 +147,22 @@ class TestCsvFormat:
             for mu, levels in zip(mus.tolist(), scan) for i, e in enumerate(levels))
         assert (out / "spectrum.csv").read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("flag, value, row", [("--mu-min", "-5e-05", 1),
+                                                  ("--mu-max", "-1E+3", -1)])
+    def test_exponent_form_negative(self, tmp_path, flag, value, row):
+        # A negative number in exponent form is a value, not an option.
+        code, out = run(tmp_path, "spectrum", "--alpha", "1.5", "--L", "200",
+                        "--mu-steps", "2", flag, value)
+        assert code == EXIT_OK
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        assert float(lines[row].split(",")[0]) == float(value)
+
+    def test_exponent_form_negative_winding(self, tmp_path):
+        code, out = run(tmp_path, "winding", "--alpha", "4", "--L", "200",
+                        "--grid-density", "1000", "--mu", "-1e-1")
+        assert code == EXIT_OK
+        assert json.loads((out / "run-manifest.json").read_text())["inputs"]["mu"] == -0.1
+
     def test_regions_csv_bytes(self, tmp_path):
         code, out = run(tmp_path, "regions", "--cycle", "otto", "--alpha", "1.5", "--L", "200")
         assert code == EXIT_OK
@@ -250,8 +266,8 @@ class TestExitCodes:
     def test_worker_process_died(self, tmp_path, capsys, monkeypatch):
         # A worker killed outright (say by the OOM killer) is a config error,
         # on either cycle.  With workers > 1 only the workers build the
-        # short-range reference.
-        monkeypatch.setattr(sweep, "_reference", lambda *args: os._exit(1))
+        # surfaces.
+        monkeypatch.setattr(sweep, "_surface", lambda *args: os._exit(1))
         monkeypatch.setattr(sweep, "default_beta_ratio_grid", lambda: np.array([0.2, 0.4]))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for kind in ("otto", "stirling"):

@@ -33,12 +33,12 @@ from lrkengine.sweep import (
     CycleTable,
     _engine_ratios,
     _finite,
-    _grid,
+    _Grid,
     _point_table,
-    _reference,
     _spectra,
+    _stable_maxima,
+    _surface,
     _table,
-    _Walk,
 )
 
 EPS = np.finfo(float).eps
@@ -204,27 +204,29 @@ def exact_grid(cfg, alpha, brs):
     validity, and each ratio with -inf where it is not finite."""
     lr, sr = (stacked_tables(cfg, a, brs) for a in (alpha, SHORT_RANGE))
     both, R_W, R_eta = _engine_ratios(lr, sr)
-    return both, {"W": _finite(R_W), "eta": _finite(R_eta)}
+    return both, np.stack((_finite(R_W), _finite(R_eta)), axis=1)
 
 
 def assert_decisions_match_tables(cfg, alpha, brs):
     # Engine validity, the R > 1 mask and each column's argmax cell decided
     # on the surfaces equal those of the per-mode tables.
-    screened = _grid(cfg, alpha, brs, _reference(cfg, brs))
+    screened = _Grid.screened(cfg, alpha, brs, _surface(cfg, SHORT_RANGE, brs))
     both, R = exact_grid(cfg, alpha, brs)
     assert np.array_equal(screened.both, both)
-    assert np.array_equal(screened.region_mask(), (R["W"] > 1.0) & (R["eta"] > 1.0))
-    for k in ("W", "eta"):
-        for j in range(brs.size):
-            walk = _Walk(k, screened.lo[k][:, j], screened.hi[k][:, j], screened.exact[:, j])
-            need = walk.needed()
-            screened.refine(need, np.full(need.size, j))
-            walk.take()
-            if np.isfinite(R[k][:, j]).any():
-                assert walk.cand == np.argmax(R[k][:, j])
-                assert walk.lo[walk.cand] == R[k][walk.cand, j]
-            else:
-                assert walk.failed
+    assert np.array_equal(screened.region_mask(), np.all(R > 1.0, axis=1))
+    # Every candidate stable: each column's maximum is its first argmax.
+    n, nb = len(cfg.mu_ratio_grid), brs.size
+    lo, hi, exact = (a.reshape(n, 2 * nb) for a in (screened.lo, screened.hi, screened.exact))
+    index, _ = _stable_maxima(
+        lo, hi, exact, lambda i, c: screened.refine(i, c % nb),
+        lambda cand, cols: np.ones(cand.size, dtype=bool))
+    R = R.reshape(n, 2 * nb)
+    for c in range(2 * nb):
+        if np.isfinite(R[:, c]).any():
+            assert index[c] == np.argmax(R[:, c])
+            assert lo[index[c], c] == R[index[c], c]
+        else:
+            assert index[c] == -1
 
 
 class TestOttoSurface:

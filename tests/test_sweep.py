@@ -104,6 +104,13 @@ class TestConfigValidation:
                 with pytest.raises(InvalidParameterError):
                     call()
 
+    def test_empty_alpha(self):
+        # sweep_mu promises seven columns; with no alpha it has none to give.
+        cfg = config(mu_steps=5)
+        for alpha in (np.array([]), []):
+            with pytest.raises(InvalidParameterError, match="at least one"):
+                sweep_mu(cfg, alpha, 0.2)
+
     def test_defaults_valid(self):
         cfg = SweepConfig(cycle_kind="otto", base=BASE)
         assert len(cfg.mu_ratio_grid) == 201
@@ -217,7 +224,7 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _no_reference(config, beta_ratios):
+def _no_reference(config, alpha, beta_ratios):
     raise RuntimeError(f"no reference at {config.alpha_grid}")
 
 
@@ -253,10 +260,10 @@ class TestWorkerProcesses:
         cfg = self.small((1.5, 3.0), workers=2)
         assert max_ratio_grid(cfg) == max_ratio_grid(replace(cfg, workers=1))
         assert multiprocessing.active_children() == []
-        # The workers run _reference; the parent, with workers > 1, does not.
+        # The workers build the surfaces; the parent, with workers > 1, does not.
         for task, error in ((_no_reference, RuntimeError),
                             (lambda *args: os._exit(1), BrokenProcessPool)):
-            monkeypatch.setattr(sweep, "_reference", task)
+            monkeypatch.setattr(sweep, "_surface", task)
             with pytest.raises(error):
                 max_ratio_grid(cfg)
             assert multiprocessing.active_children() == []
@@ -390,22 +397,51 @@ class TestRegions:
 
 class TestEvaluate:
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
-    def test_each_distinct_point_once(self, kind, monkeypatch):
-        # Repeated probe points are evaluated once each and keep their bits.
-        cfg = config(kind=kind, mu_steps=21)
-        pts = [(1.5, 0.325, 0.2), (1.5, 0.675, 0.41), (3.0, 0.325, 0.2), (1.5, 0.325, 0.45)]
-        once = sweep._evaluate(cfg, pts)
-        point_table, rows = sweep._point_table, []
+    @pytest.mark.parametrize("beta_c", [5.0, 0.05])
+    def test_each_pair_once_per_call(self, kind, beta_c, monkeypatch):
+        # The W and eta walks of a column often probe the same midpoint; each
+        # round evaluates it once, so no gathered batch holds a pair twice.
+        cfg = replace(config(kind=kind, beta_c=beta_c, alpha_grid=(1.3, 1.85)),
+                      base=replace(BASE, L=200))
+        point_table, calls = sweep._point_table, []
 
-        def counting(config, alpha, mu_ratios, beta_ratios):
-            rows.append(len(mu_ratios))
+        def recording(config, alpha, mu_ratios, beta_ratios):
+            calls.append([(float(m), float(b)) for m, b in zip(mu_ratios, beta_ratios)])
             return point_table(config, alpha, mu_ratios, beta_ratios)
 
-        monkeypatch.setattr(sweep, "_point_table", counting)
-        twice = sweep._evaluate(cfg, pts + pts)
-        assert sum(rows) == 2 * len(pts)  # one long- and one short-range row each
-        for k in ("W", "eta"):
-            assert twice[k].tobytes() == np.concatenate([once[k], once[k]]).tobytes()
+        monkeypatch.setattr(sweep, "_point_table", recording)
+        optimal_condition(cfg)
+        assert calls and all(len(set(pairs)) == len(pairs) for pairs in calls)
+
+
+class TestStableMaxima:
+    def test_two_columns(self):
+        # Column 0: R = (1, 3, 4, 3, 3, 2), with cell 3 inexact, read as
+        # [2.5, 3.5].  Cell 2 is a cusp; then cell 3's band reaches the top,
+        # 3, and it is refined before the pick.  Cells 1, 3 and 4 tie: cell 1
+        # is picked first and is a cusp, then cell 3 is the maximum.  Column
+        # 1 is all -inf and fails.
+        lo = np.array([[1.0, 3.0, 4.0, 2.5, 3.0, 2.0], [-np.inf] * 6]).T
+        hi = lo.copy()
+        hi[3, 0] = 3.5
+        exact = np.ones_like(lo, dtype=bool)
+        exact[3, 0] = False
+        refined, asked = [], []
+
+        def refine(i, c):
+            refined.append((len(asked), i.tolist(), c.tolist()))
+            lo[i, c] = hi[i, c] = 3.0
+            exact[i, c] = True
+
+        def stable(cand, cols):
+            asked.append((cand.tolist(), cols.tolist()))
+            return ~np.isin(cand, (1, 2))
+
+        index, cusps = sweep._stable_maxima(lo, hi, exact, refine, stable)
+        assert index.tolist() == [3, -1]
+        assert cusps == [[2, 1], []]
+        assert refined == [(1, [3], [0])]
+        assert asked == [([2], [0]), ([1], [0]), ([3], [0])]
 
 
 class TestScreen:
