@@ -42,6 +42,7 @@ from .sweep import (
     InsufficientDataError,
     SweepConfig,
     enhancement_regions,
+    forked_parts_pin_blas,
     max_ratio_grid,
     optimal_condition,
     sweep_mu,
@@ -550,8 +551,8 @@ def _build_parser():
     p = runs["optimal"] = add(sub, "optimal", "L", "cycle", *grid)
     p.add_argument("--workers", type=int, default=1,
                    help="forked processes over strided parts of the alpha rows, for "
-                        "either cycle, at most one per usable CPU; they pay only with "
-                        "BLAS on one thread (OPENBLAS_NUM_THREADS=1)")
+                        "either cycle, at most one per usable CPU; each runs numpy's "
+                        "OpenBLAS on one thread (run-manifest.json: forked_parts_pin_blas)")
 
     figure = sub.add_parser(
         "reproduce-figure", description="Regenerate the data behind figure n (1 or 3-10); "
@@ -611,6 +612,8 @@ def main(argv=None) -> int:
             "outputs": files,
             "wall_time_s": time.monotonic() - t0,
         }
+        if run == "optimal":
+            manifest["forked_parts_pin_blas"] = forked_parts_pin_blas()
         _write_json(os.path.join(outdir, "run-manifest.json"), manifest)
         made = None
         return EXIT_OK

@@ -176,10 +176,15 @@ def otto_surface(eps_i, eps_f, beta_hs, beta_c: float):
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    t_c = np.tanh(0.5 * beta_c * eps_f)
-    t_h = np.tanh(0.5 * np.asarray(beta_hs, dtype=float)[:, None] * eps_i)
+    # The tanh and the products of c run in place: the sweeps call this while
+    # they hold both chains' spectra, and each (n_mu, nk) temporary is 1.6 MB
+    # on the default grid.
+    t_c = (0.5 * beta_c) * eps_f
+    np.tanh(t_c, out=t_c)
+    t_h = (0.5 * np.asarray(beta_hs, dtype=float))[:, None] * eps_i
+    np.tanh(t_h, out=t_h)
     a = (t_c @ eps_i)[:, None]
-    c = np.sum(eps_f * t_c, axis=-1)[:, None]
+    c = np.sum(np.multiply(eps_f, t_c, out=t_c), axis=-1)[:, None]
     b = t_h @ eps_i
     D = eps_f @ t_h.T
     Q_h = a - b
@@ -218,17 +223,17 @@ def stirling_mode_sums(eps_i, eps_f, beta_h: float, beta_c: float):
 _SURFACE_BLOCK = 1 << 14
 
 
-def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float):
+def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float, col=None):
     """Stirling W and Q_h on the grid of ``eps_f`` rows x ``beta_hs``, each cell
     bitwise the value of ``stirling_mode_sums`` at that row and beta_h.
 
     ``eps_f`` has shape (n_mu, nk), and W and Q_h have shape (n_mu, n_beta).
-    ``beta_hs`` may instead be a column of one beta_h per row, for W and Q_h of
-    shape (n_mu, 1), each row at its own beta_h.
+    Where ``col`` is given, row r is at beta_hs[col[r]] alone, for W and Q_h of
+    shape (n_mu, 1).
     Of the beta_c terms, only the two that W and Q_h read are built, once:
     tanh(beta_c eps_i / 2) and the cold ln cosh work terms w_c.  For each
-    distinct beta_h the eps_i-only terms (t_hi, its ln cosh, eps_i t_hi and
-    Q_IV) are built once.  The eps_f rows then pass in blocks of
+    beta_h the eps_i-only terms (t_hi, its ln cosh, eps_i t_hi and Q_IV) are
+    built once.  The eps_f rows then pass in blocks of
     ``_SURFACE_BLOCK // nk`` rows through buffers allocated once per call, by
     the elementwise operations of ``stirling_mode_sums`` (ln cosh as in
     ``thermo.lncosh``) in the same order and one sum per row, so no block
@@ -238,9 +243,8 @@ def stirling_surface(eps_i, eps_f, beta_hs, beta_c: float):
     """
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
-    beta_hs = np.asarray(beta_hs, dtype=float)
-    per_row = beta_hs.ndim == 2
-    values, col = np.unique(beta_hs[:, 0], return_inverse=True) if per_row else (beta_hs, None)
+    values = np.asarray(beta_hs, dtype=float)
+    per_row = col is not None
     t_ci = np.tanh(0.5 * beta_c * eps_i)
     w_c = (2.0 / beta_c) * (lncosh(0.5 * beta_c * eps_i) - lncosh(0.5 * beta_c * eps_f))
     hs = 0.5 * values

@@ -29,14 +29,21 @@ alpha and decide every cell in one step, ``_Grid``:
   sums at once (``_exact_ratios``), which decide its validity and its
   ratios together, so each decision equals the tables'.
 
-Cells are recomputed from one-row spectra gathered into batches of at most
-half a table's rows, each row equal bitwise to the table's: the mode sums
-form their beta_c terms themselves, elementwise on the rows they are given,
-and Stirling rows pass through ``stirling_surface`` at one beta_h per row.
-The cusp walks (``_stable_maxima``) treat each column of an array as one walk
-and advance all columns in rounds: each round evaluates the half-step
-midpoints of every unresolved column's current candidate together, each
-distinct point once.
+Every exact point of a call lies on one half-step lattice (``_Lattice``):
+its mu_f/mu_i is a grid value or a half step 0.5 (x[i] + x[i+1]) of the mu
+grid, and its beta_h/beta_c one of the beta grid, so a point is a pair of
+indices.  The call keeps the short range's values on the lattice, so each
+short-range point is evaluated at most once, for all alphas and for the
+walk along beta of ``optimal_condition``.  The long range is evaluated at
+the distinct points of each request, on rows gathered from its chain's
+grid spectra or built for the half-step rows the request needs
+(``_Chain``).  Rows go in batches of at most a quarter of a grid's rows,
+each row equal bitwise to the table's: the mode sums form their beta_c
+terms themselves, elementwise on the rows they are given, and Stirling rows
+pass through ``stirling_surface`` at one beta_h per row.  The cusp walks
+(``_stable_maxima``) treat each column of an array as one walk and advance
+all columns in rounds: each round evaluates the probes of every unresolved
+column's current candidate together, each distinct point once.
 """
 
 import math
@@ -194,26 +201,32 @@ def _spectra(config: SweepConfig, alpha, mu_ratios):
     return eps_i, spectrum_energies(base, np.asarray(mu_ratios, dtype=float) * config.mu_i)
 
 
-def _table(config: SweepConfig, spectra, beta_ratio) -> CycleTable:
+def _eta(W, Q_h, valid):
+    """W / Q_h where ``valid``, and NaN elsewhere."""
+    return np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
+
+
+def _table(config: SweepConfig, spectra, beta_ratio, col=None) -> CycleTable:
     """The cycle table of ``_spectra`` output at beta_h = beta_ratio * beta_c.
 
-    ``beta_ratio`` may be a column of one value per spectrum row; each row
-    is then bitwise the row of the table at its own beta ratio.  Stirling
-    tables come from ``stirling_surface`` at one beta_h per row, bitwise the
-    per-mode sums.
+    Where ``col`` is given, ``beta_ratio`` is an array and row r is at
+    beta_ratio[col[r]]; each row is then bitwise the row of the table at its
+    own beta ratio.  Stirling tables come from ``stirling_surface`` at one
+    beta_h per row, bitwise the per-mode sums.
     """
     eps_i, eps_f = spectra
     beta_c = config.beta_c
-    beta_h = beta_ratio * beta_c
+    beta_h = np.asarray(beta_ratio, dtype=float) * beta_c
     if config.cycle_kind == "otto":
-        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, beta_h, beta_c)
+        column = beta_h if col is None else beta_h[col, None]
+        Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, column, beta_c)
         valid = otto_engine_valid(W, Q_h, Q_c)
     else:
-        per_row = np.broadcast_to(beta_h, (len(eps_f), 1))
-        W, Q_h = (c[:, 0] for c in stirling_surface(eps_i, eps_f, per_row, beta_c))
+        col = np.zeros(len(eps_f), dtype=np.intp) if col is None else col
+        W, Q_h = (c[:, 0] for c in stirling_surface(eps_i, eps_f, np.atleast_1d(beta_h),
+                                                    beta_c, col))
         valid = stirling_engine_valid(W, Q_h)
-    eta = np.where(valid, np.divide(W, Q_h, out=np.full_like(W, np.nan), where=Q_h != 0), np.nan)
-    return CycleTable(W=W, Q_h=Q_h, eta=eta, engine_valid=valid)
+    return CycleTable(W=W, Q_h=Q_h, eta=_eta(W, Q_h, valid), engine_valid=valid)
 
 
 def _engine_ratios(lr: CycleTable, sr: CycleTable):
@@ -245,32 +258,111 @@ def sweep_mu(config: SweepConfig, alpha, beta_ratio: float) -> dict:
     return {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}
 
 
-def _point_table(config: SweepConfig, alpha, mu_ratios, beta_ratios) -> CycleTable:
-    """Exact table rows of one chain at the pairs (mu_ratios[k], beta_ratios[k]).
+def _half_steps(x):
+    """The sorted grid ``x`` with its half steps between: x[i] at 2i and
+    0.5 * (x[i] + x[i+1]) at 2i + 1."""
+    lattice = np.empty(2 * x.size - 1)
+    lattice[::2] = x
+    lattice[1::2] = 0.5 * (x[:-1] + x[1:])
+    return lattice
 
-    Spectra are built once per distinct mu ratio and gathered into one row
-    per pair, which the mode sums evaluate at its own beta ratio.
+
+class _Chain:
+    """The spectra of one chain on the mu_f/mu_i lattice ``mus``: eps_i, and,
+    where ``grid`` is set, eps_f on the grid rows (the even lattice rows),
+    which ``_surface`` reads."""
+
+    def __init__(self, config: SweepConfig, alpha, mus, grid: bool):
+        self.base = replace(config.base, alpha=float(alpha))
+        self.mu_f = mus * config.mu_i
+        if grid:
+            self.eps_i, self.grid = _spectra(config, alpha, mus[::2])
+        else:
+            self.eps_i = spectrum_energies(self.base, config.mu_i)
+            self.grid = np.empty((0, self.eps_i.size))
+
+    def rows(self, k):
+        """eps_f at the lattice rows ``k``: grid rows gathered, and each other
+        distinct row built once, as ``_spectra`` builds it."""
+        on = (k % 2 == 0) & (len(self.grid) > 0)
+        if on.all():
+            return self.grid[k // 2]
+        eps_f = np.empty((k.size, self.eps_i.size))
+        eps_f[on] = self.grid[k[on] // 2]
+        extra, back = np.unique(k[~on], return_inverse=True)
+        eps_f[~on] = spectrum_energies(self.base, self.mu_f[extra])[back]
+        return eps_f
+
+
+class _Lattice:
+    """The half-step lattice of one call, and the short range's values on it.
+
+    ``mus`` and ``brs`` are the mu_f/mu_i grid and the beta ratios of the
+    call, each with its half steps between (``_half_steps``), so that every
+    exact point of the call, a grid cell or a cusp probe, is a pair of
+    indices (k, l).  The short range's W, Q_h and engine validity on the
+    lattice fill in as ``short_range`` is asked for them, each point
+    evaluated at most once however many alphas ask.  Where ``grid`` is set,
+    ``ref`` is the short range's surface on the grid.  No object that the
+    lattice holds refers back to it, so it goes when its call returns.
     """
-    mu, rows = np.unique(mu_ratios, return_inverse=True)
-    eps_i, eps_f = _spectra(config, alpha, mu)
-    return _table(config, (eps_i, eps_f[rows]), np.asarray(beta_ratios, dtype=float)[:, None])
+
+    def __init__(self, config: SweepConfig, brs, grid: bool = True):
+        self.config = config
+        self.mus = _half_steps(np.asarray(config.mu_ratio_grid, dtype=float))
+        self.brs = _half_steps(brs)
+        # Allocated before the surface's temporaries, which then free the top
+        # of the heap: allocated after them, these arrays held about 3 MB more
+        # of it resident (peak RSS of the benchmark's grid-otto).
+        shape = (self.mus.size, self.brs.size)
+        self.W, self.Q_h = np.empty(shape), np.empty(shape)
+        self.valid = np.empty(shape, dtype=bool)
+        self.filled = np.zeros(shape, dtype=bool)
+        self.sr = _Chain(config, SHORT_RANGE, self.mus, grid)
+        self.ref = _surface(config, self.sr, brs) if grid else None
+
+    def short_range(self, k, l) -> CycleTable:
+        """The short range's table rows at the distinct lattice points
+        (k[n], l[n]), evaluating only the points not yet filled."""
+        new = ~self.filled[k, l]
+        if new.any():
+            a, b = k[new], l[new]
+            t = _point_rows(self, self.sr, a, b)
+            self.W[a, b], self.Q_h[a, b], self.valid[a, b] = t.W, t.Q_h, t.engine_valid
+            self.filled[a, b] = True
+        W, Q_h, valid = self.W[k, l], self.Q_h[k, l], self.valid[k, l]
+        return CycleTable(W=W, Q_h=Q_h, eta=_eta(W, Q_h, valid), engine_valid=valid)
 
 
-def _exact_ratios(config: SweepConfig, alpha, mu_ratios, beta_ratios):
-    """``_engine_ratios`` at the pairs (mu_ratios[k], beta_ratios[k]) from per-mode sums,
-    equal bitwise to the same cells of the tables.
+def _point_rows(lattice: _Lattice, chain: _Chain, k, l) -> CycleTable:
+    """Per-mode table rows of ``chain`` at the lattice points (k[n], l[n]),
+    each bitwise the row of a table at its point.
 
-    The pairs go in batches of at most half a table's rows (one empty batch
-    for no pairs), joined.  A batch builds its own spectra and mode-sum
-    terms, so half a table keeps it within a table's memory.
+    The points go in batches of at most a quarter of a grid's rows (one
+    empty batch for no points), joined.  A batch gathers its own spectra and
+    forms its own mode-sum terms, so it stays within half a table's memory
+    while the call holds both chains' grid spectra.
     """
-    mu = np.asarray(mu_ratios, dtype=float)
-    br = np.asarray(beta_ratios, dtype=float)
-    step = max(1, len(config.mu_ratio_grid) // 2)
-    parts = [_engine_ratios(*(_point_table(config, a, mu[s : s + step], br[s : s + step])
-                              for a in (alpha, SHORT_RANGE)))
-             for s in range(0, max(mu.size, 1), step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    step = max(1, len(lattice.config.mu_ratio_grid) // 4)
+    parts = []
+    for s in range(0, max(k.size, 1), step):
+        ls, col = np.unique(l[s : s + step], return_inverse=True)
+        parts.append(_table(lattice.config, (chain.eps_i, chain.rows(k[s : s + step])),
+                            lattice.brs[ls], col))
+    return CycleTable(*(np.concatenate([getattr(t, f) for t in parts])
+                        for f in ("W", "Q_h", "eta", "engine_valid")))
+
+
+def _exact_ratios(lattice: _Lattice, chain: _Chain, k, l):
+    """``_engine_ratios`` of ``chain`` against the short range at the lattice
+    points (k[n], l[n]) from per-mode sums, equal bitwise to the same cells of
+    the tables.  Each distinct point is evaluated once, and the short range
+    is read from the lattice."""
+    shape = lattice.filled.shape
+    flat, back = np.unique(np.ravel_multi_index((k, l), shape), return_inverse=True)
+    k, l = np.unravel_index(flat, shape)
+    ratios = _engine_ratios(_point_rows(lattice, chain, k, l), lattice.short_range(k, l))
+    return tuple(r[back] for r in ratios)
 
 
 @dataclass(eq=False)
@@ -290,8 +382,8 @@ class _Surface:
     maybe: np.ndarray
 
 
-def _surface(config: SweepConfig, alpha, brs) -> _Surface:
-    """The surface of one chain on the mu grid at the beta ratios ``brs``:
+def _surface(config: SweepConfig, chain: _Chain, brs) -> _Surface:
+    """The surface of one chain on its grid rows at the beta ratios ``brs``:
     ``cycles.otto_surface`` or ``cycles.stirling_bounds``.
 
     It only screens.  A cell is ``sure`` where each engine test (W > 0, and
@@ -300,7 +392,7 @@ def _surface(config: SweepConfig, alpha, brs) -> _Surface:
     doubled, so the margins also cover the rounding of the sums that test
     them.
     """
-    eps_i, eps_f = _spectra(config, alpha, config.mu_ratio_grid)
+    eps_i, eps_f = chain.eps_i, chain.grid
     beta_hs, beta_c = brs * config.beta_c, config.beta_c
     if config.cycle_kind == "otto":
         Q_h, Q_c, W, tol = otto_surface(eps_i, eps_f, beta_hs, beta_c)
@@ -326,20 +418,21 @@ class _Grid:
     that is not finite reads -inf.  ``refine`` makes cells exact.
     """
 
-    def __init__(self, config, alpha, brs, both, lo, hi, exact):
-        self.config, self.alpha, self.brs = config, alpha, brs
+    def __init__(self, lattice, chain, both, lo, hi, exact):
+        self.lattice, self.chain = lattice, chain
         self.both, self.lo, self.hi, self.exact = both, lo, hi, exact
 
     @classmethod
-    def screened(cls, config, alpha, brs, sr: _Surface):
-        """The grid of ``alpha`` against the short-range surface ``sr``.
+    def screened(cls, lattice: _Lattice, alpha):
+        """The grid of ``alpha`` against the short-range surface of ``lattice``.
 
         Bands from the W and Q_h bounds where both chains are sure engines
         and W_sr stays clear of the zero test of ``ratio_arrays``, widened by
         the rounding of the exact ratios.  Every other cell that may be an
         engine on both chains is refined at once, which decides its engine
         validity; the rest are no engines."""
-        lr = _surface(config, alpha, brs)
+        chain = _Chain(lattice.config, alpha, lattice.mus, grid=True)
+        lr, sr = _surface(lattice.config, chain, lattice.brs[::2]), lattice.ref
         both = lr.sure & sr.sure
         r, s = lr.r, sr.r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -355,15 +448,14 @@ class _Grid:
         u8 = 4.0 * np.finfo(float).eps
         lo = np.where(banded, lo * (1.0 - u8), -np.inf)
         hi = np.where(banded, hi * (1.0 + u8), -np.inf)
-        grid = cls(config, alpha, brs, both, lo, hi, np.repeat(~banded, 2, axis=1))
+        grid = cls(lattice, chain, both, lo, hi, np.repeat(~banded, 2, axis=1))
         grid.refine(*np.nonzero(lr.maybe & sr.maybe & ~banded[:, 0]))
         return grid
 
     def refine(self, i, j):
         """Replace the bands and engine validity of cells (i[k], j[k]) by their
         exact values."""
-        mu = np.asarray(self.config.mu_ratio_grid, dtype=float)
-        self.both[i, j], R_W, R_eta = _exact_ratios(self.config, self.alpha, mu[i], self.brs[j])
+        self.both[i, j], R_W, R_eta = _exact_ratios(self.lattice, self.chain, 2 * i, 2 * j)
         self.lo[i, :, j] = self.hi[i, :, j] = _finite(np.stack((R_W, R_eta), axis=1))
         self.exact[i, :, j] = True
 
@@ -427,18 +519,17 @@ def _stable_maxima(lo, hi, exact, refine, stable):
     return index, cusps
 
 
-def _row(config: SweepConfig, alpha, brs, ref) -> list:
-    """``max_ratios`` at each of the beta ratios ``brs`` for one alpha, against
-    the short-range surface ``ref``: a ``MaxRatioPoint``, or None where the
-    column has no stable maximum.
+def _row(lattice: _Lattice, alpha) -> list:
+    """``max_ratios`` at each beta ratio of ``lattice`` for one alpha: a
+    ``MaxRatioPoint``, or None where the column has no stable maximum.
 
     The cusp walks along mu of all columns and both ratios advance together
     in ``_stable_maxima``, over the (R_W, R_eta) columns of the grid side by
     side; a column with fewer than 3 engine cells has none.
     """
-    grid = _Grid.screened(config, alpha, brs, ref)
-    xs = np.asarray(config.mu_ratio_grid, dtype=float)
-    nb = brs.size
+    grid = _Grid.screened(lattice, alpha)
+    xs = lattice.mus[::2]
+    nb = grid.both.shape[1]
     n_valid = np.sum(grid.both, axis=0)
     grid.hi[:, :, n_valid < 3] = -np.inf
     lo, hi, exact = (a.reshape(xs.size, 2 * nb) for a in (grid.lo, grid.hi, grid.exact))
@@ -458,10 +549,9 @@ def _row(config: SweepConfig, alpha, brs, ref) -> list:
         p, q = np.nonzero(inside & engine[:, None])
         v = np.full(nbs.shape, -np.inf)
         if p.size:
-            points = np.stack((0.5 * (xs[cand[p]] + xs[nbs[p, q]]), brs[j[p]]), axis=1)
-            pairs, back = np.unique(points, axis=0, return_inverse=True)
-            _, R_W, R_eta = _exact_ratios(config, alpha, pairs[:, 0], pairs[:, 1])
-            v[p, q] = np.stack((R_W, R_eta))[k[p], back.ravel()]
+            # The midpoint of grid rows i and n is lattice row i + n.
+            R = _exact_ratios(lattice, grid.chain, cand[p] + nbs[p, q], 2 * j[p])
+            v[p, q] = np.choose(k[p], R[1:])
         R = lo[cand, cols]
         bound = R + CUSP_REL_TOL * np.maximum(np.abs(R), 1.0)
         return engine & ~np.any(v > bound[:, None], axis=1)
@@ -494,8 +584,7 @@ def max_ratios(config: SweepConfig, alpha: float, beta_ratio: float) -> MaxRatio
     """
     _check_alpha(alpha)
     _check_beta_ratio(beta_ratio)
-    brs = np.array([beta_ratio], dtype=float)
-    (point,) = _row(config, alpha, brs, _surface(config, SHORT_RANGE, brs))
+    (point,) = _row(_Lattice(config, np.array([beta_ratio], dtype=float)), alpha)
     if point is None:
         raise InsufficientDataError(
             f"no maximum at alpha={alpha}, beta_h/beta_c={beta_ratio}: fewer than 3 "
@@ -510,52 +599,101 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _blas_threads_setter():
+    """``scipy_openblas_set_num_threads64_`` of the OpenBLAS that numpy's wheel
+    bundles, or None where this numpy has none (MKL, Accelerate, or an
+    OpenBLAS of the system)."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if name.startswith("libscipy_openblas64_") and ".so" in name:
+            try:
+                setter = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
+def forked_parts_pin_blas() -> bool:
+    """Whether each forked part of ``max_ratio_grid`` runs BLAS on one thread."""
+    return _blas_threads_setter() is not None
+
+
+def _one_blas_thread():
+    """Start each forked part with BLAS on one thread, where numpy's OpenBLAS
+    can be told so; elsewhere do nothing."""
+    setter = _blas_threads_setter()
+    if setter is not None:
+        setter(1)
+
+
+def _parts(config: SweepConfig) -> int:
+    """How many forked parts ``max_ratio_grid`` runs in, 1 where it runs serially."""
+    n = min(config.workers, len(config.alpha_grid), _usable_cpus())
+    if n > 1:
+        # Imported here: at module level it raises the peak RSS of every run
+        # by 0.8 MB (benchmark grid-otto and point-scan, 8 of 8 pairs).
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            return n
+    return 1
+
+
+def _forked_rows(config: SweepConfig, n: int) -> list:
+    """``max_ratio_grid`` in ``n`` forked parts of the alpha rows."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    alphas = tuple(config.alpha_grid)
+    parts = [replace(config, alpha_grid=alphas[k::n], workers=1) for k in range(n)]
+    rows = [None] * len(alphas)
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        for k, part in enumerate(pool.map(max_ratio_grid, parts)):
+            rows[k::n] = part
+    return rows
+
+
 def max_ratio_grid(config: SweepConfig) -> list:
     """``max_ratios`` at every cell of ``config.alpha_grid`` x ``config.beta_ratio_grid``:
     one list per alpha, with None where ``max_ratios`` would raise
     ``InsufficientDataError``.
 
-    The short-range side is built once for all alphas, and each alpha row
-    builds its long-range spectra once for all beta ratios.  Both surfaces
-    screen the cells (see the module docstring): a Stirling chain's
-    Chebyshev moments are formed once for all beta ratios, and only the
-    cells the bound leaves undecided, argmax candidates first among them,
-    are evaluated by per-mode sums.  With ``config.workers`` > 1 the alpha
-    rows split into at most that many parts, and no more parts than the CPUs
-    this process may run on; part k takes every n-th alpha from the k-th, so
-    the costlier large-alpha rows spread over the parts.  Each part runs
-    serially in a forked process that builds its own short-range side on the
-    whole beta grid, and the rows return to their places.  A forked process
-    starts with the parent's modules loaded, so it is sent only its config.
+    One half-step lattice (``_Lattice``) serves all alphas: the short range
+    is built and screened once, and each of its exact points is evaluated
+    once.  Each alpha row builds its long-range spectra once for all beta
+    ratios.  Both surfaces screen the cells (see the module docstring): a
+    Stirling chain's Chebyshev moments are formed once for all beta ratios,
+    and only the cells the bound leaves undecided, argmax candidates first
+    among them, are evaluated by per-mode sums.  With ``config.workers`` > 1
+    the alpha rows split into at most that many parts, and no more parts than
+    the CPUs this process may run on; part k takes every n-th alpha from the
+    k-th, so the costlier large-alpha rows spread over the parts.  Each part
+    runs serially in a forked process on a lattice of its own, and the rows
+    return to their places.  A forked process starts with the parent's
+    modules loaded, so it is sent only its config.
 
-    The parts pay only with BLAS on one thread (``OPENBLAS_NUM_THREADS=1``):
-    both cycles' surfaces are GEMMs on BLAS's threads, and every forked
-    process starts its own, which oversubscribes the cores.  The grid runs
-    serially where the "fork" start method is missing (Windows) or the
-    caller is a daemonic process, which may not have children.  Forking a
-    process that runs threads of its own, Python's or BLAS's, can deadlock,
-    and Python 3.12+ warns of it: call with ``workers`` = 1 from such a
-    process.
+    Each forked part starts with BLAS on one thread where numpy's own
+    OpenBLAS can be told so (``forked_parts_pin_blas``): both cycles'
+    surfaces are GEMMs, and BLAS threads in every part would oversubscribe
+    the cores.  With another BLAS, set its thread count to 1 in the
+    environment for the parts to pay.  The grid runs serially where the
+    "fork" start method is missing (Windows) or the caller is a daemonic
+    process, which may not have children.  Forking a process that runs
+    threads of its own, Python's or BLAS's, can deadlock, and Python 3.12+
+    warns of it: call with ``workers`` = 1 from such a process.
     """
-    alphas = tuple(config.alpha_grid)
-    n = min(config.workers, len(alphas), _usable_cpus())
+    n = _parts(config)
     if n > 1:
-        # Imported here: at module level they raise the peak RSS of every
-        # run by 0.8 MB (benchmark grid-otto and point-scan, 8 of 8 pairs).
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            parts = [replace(config, alpha_grid=alphas[k::n], workers=1) for k in range(n)]
-            rows = [None] * len(alphas)
-            with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-                for k, part in enumerate(pool.map(max_ratio_grid, parts)):
-                    rows[k::n] = part
-            return rows
-    brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    ref = _surface(config, SHORT_RANGE, brs)
-    return [_row(config, a, brs, ref) for a in alphas]
+        return _forked_rows(config, n)
+    lattice = _Lattice(config, np.asarray(config.beta_ratio_grid, dtype=float))
+    return [_row(lattice, a) for a in config.alpha_grid]
 
 
 def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
@@ -566,7 +704,7 @@ def enhancement_regions(config: SweepConfig, alpha: float) -> RegionMap:
     """
     _check_alpha(alpha)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    grid = _Grid.screened(config, alpha, brs, _surface(config, SHORT_RANGE, brs))
+    grid = _Grid.screened(_Lattice(config, brs), alpha)
     return RegionMap(
         mu_ratio_grid=np.asarray(config.mu_ratio_grid, dtype=float),
         beta_ratio_grid=brs,
@@ -591,12 +729,16 @@ def optimal_condition(config: SweepConfig) -> OptimalCondition:
     ``cusp_cells_W`` / ``cusp_cells_eta``.  No alpha direction is tested:
     W_sr does not depend on alpha, so the pole cannot run along it.  The walk
     runs serially after ``max_ratio_grid``, so the result is the same for any
-    worker count.  ``coincident`` is True when the work and efficiency argmax
-    points agree within one grid cell in both directions.
+    worker count.  It evaluates the probes of each round grouped by alpha,
+    each distinct point once, on the lattice that ``max_ratio_grid`` filled
+    when it ran in this process.  ``coincident`` is True when the work and
+    efficiency argmax points agree within one grid cell in both directions.
     """
     alphas = np.asarray(config.alpha_grid, dtype=float)
     brs = np.asarray(config.beta_ratio_grid, dtype=float)
-    grid = max_ratio_grid(config)
+    n = _parts(config)
+    lattice = _Lattice(config, brs, grid=n == 1)
+    grid = _forked_rows(config, n) if n > 1 else [_row(lattice, a) for a in alphas]
     R_W_m, R_eta_m, mu_W_m, mu_eta_m = (
         np.array([[missing if p is None else getattr(p, name) for p in row] for row in grid],
                  dtype=float)
@@ -609,17 +751,26 @@ def optimal_condition(config: SweepConfig) -> OptimalCondition:
     nb = brs.size
     R = np.stack((R_W_m.ravel(), R_eta_m.ravel()), axis=1)
     arg_mu = np.stack((mu_W_m.ravel(), mu_eta_m.ravel()), axis=1)
+    chains = {}  # the walk's chains (eps_i, no grid rows), one per alpha index
 
     def stable(cand, cols):
-        verdicts = []
-        for c, k in zip(cand, cols):
-            i, j = divmod(c, nb)
-            nbs = [j + d for d in (-1, 1) if 0 <= j + d < nb]
-            betas = [brs[n] for n in nbs] + [0.5 * (brs[j] + brs[n]) for n in nbs]
-            v = _exact_ratios(config, alphas[i], np.full(len(betas), arg_mu[c, k]), betas)[1 + k]
-            bound = R[c, k] + CUSP_REL_TOL * max(abs(R[c, k]), 1.0)
-            verdicts.append(np.all(v[: len(nbs)] > -np.inf) and not np.any(v[len(nbs):] > bound))
-        return np.array(verdicts, dtype=bool)
+        # The beta neighbours of each candidate (lattice columns 2j -+ 2) and
+        # their midpoints (2j -+ 1) at its alpha and arg-mu; an arg-mu is a
+        # grid value, so its first grid index gives its lattice row.
+        i, j = np.divmod(cand, nb)
+        k = 2 * np.searchsorted(lattice.mus[::2], arg_mu[cand, cols])
+        l = 2 * j[:, None] + np.array([-2, 2, -1, 1])
+        inside = (l >= 0) & (l < lattice.brs.size)
+        v = np.full(l.shape, np.nan)
+        for a in np.unique(i):
+            p, q = np.nonzero(inside & (i == a)[:, None])
+            if a not in chains:
+                chains[a] = _Chain(config, alphas[a], lattice.mus, grid=False)
+            v[p, q] = np.choose(cols[p], _exact_ratios(lattice, chains[a], k[p], l[p, q])[1:])
+        R_c = R[cand, cols]
+        bound = R_c + CUSP_REL_TOL * np.maximum(np.abs(R_c), 1.0)
+        return (np.all((v[:, :2] > -np.inf) | ~inside[:, :2], axis=1)
+                & ~np.any(v[:, 2:] > bound[:, None], axis=1))
 
     index, cusps = _stable_maxima(R, R, np.ones(R.shape, dtype=bool), None, stable)
     if np.any(index < 0):

@@ -587,6 +587,21 @@ class TestManifest:
         assert "regions.gp" in manifest["outputs"]
 
 
+    def test_optimal_records_blas_pin(self, tmp_path, monkeypatch):
+        # An optimal run records whether its forked parts run BLAS on one
+        # thread; no other run does.
+        for pinned in (True, False):
+            monkeypatch.setattr(sweep, "_blas_threads_setter",
+                                lambda: (lambda n: None) if pinned else None)
+            code, out = run(tmp_path / str(pinned), "optimal", "--cycle", "otto", "--L", "20",
+                            "--mu-steps", "11", "--workers", "2")
+            assert code == EXIT_OK
+            manifest = json.loads((out / "run-manifest.json").read_text())
+            assert manifest["forked_parts_pin_blas"] is pinned
+        code, out = run(tmp_path / "sweep", "sweep", "--cycle", "otto", "--alpha", "1.5", *FAST)
+        assert code == EXIT_OK
+        assert "forked_parts_pin_blas" not in json.loads((out / "run-manifest.json").read_text())
+
 class TestFigures:
     def test_figure_3_panels(self, tmp_path):
         code, out = run(tmp_path, "reproduce-figure", "3")

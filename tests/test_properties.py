@@ -31,13 +31,14 @@ from lrkengine.cycles import (
 )
 from lrkengine.sweep import (
     CycleTable,
+    _Chain,
     _engine_ratios,
     _finite,
     _Grid,
-    _point_table,
+    _Lattice,
+    _point_rows,
     _spectra,
     _stable_maxima,
-    _surface,
     _table,
 )
 
@@ -210,7 +211,7 @@ def exact_grid(cfg, alpha, brs):
 def assert_decisions_match_tables(cfg, alpha, brs):
     # Engine validity, the R > 1 mask and each column's argmax cell decided
     # on the surfaces equal those of the per-mode tables.
-    screened = _Grid.screened(cfg, alpha, brs, _surface(cfg, SHORT_RANGE, brs))
+    screened = _Grid.screened(_Lattice(cfg, brs), alpha)
     both, R = exact_grid(cfg, alpha, brs)
     assert np.array_equal(screened.both, both)
     assert np.array_equal(screened.region_mask(), np.all(R > 1.0, axis=1))
@@ -268,18 +269,28 @@ class TestPointRows:
            beta_c=st.sampled_from([5.0, 0.05]), mu_ratios=mu_grids, beta_ratios=beta_grids,
            data=st.data())
     def test_rows_bitwise(self, kind, L, alpha, beta_c, mu_ratios, beta_ratios, data):
-        # Rows gathered at (mu, beta) pairs, as the refinements and the cusp
-        # probes evaluate them, equal the table rows bitwise.
+        # Rows gathered at lattice points (k, l), as the refinements and the
+        # cusp probes evaluate them, equal bitwise the rows of tables on the
+        # lattice's mu ratios: the rows of a chain with or without its grid
+        # rows built, and the short range's rows as the lattice fills them and
+        # as it gathers them again once filled.
         cfg = sweep_config(kind, L, 2.0, beta_c, mu_ratios)
+        lattice = _Lattice(cfg, np.asarray(beta_ratios))
         n = data.draw(st.integers(1, 12))
-        i = data.draw(st.lists(st.integers(0, len(mu_ratios) - 1), min_size=n, max_size=n))
-        j = data.draw(st.lists(st.integers(0, len(beta_ratios) - 1), min_size=n, max_size=n))
-        got = _point_table(cfg, alpha, np.asarray(mu_ratios)[i], np.asarray(beta_ratios)[j])
-        spectra = _spectra(cfg, alpha, mu_ratios)
-        for k, (a, b) in enumerate(zip(i, j)):
-            want = _table(cfg, spectra, beta_ratios[b])
-            for f in ("W", "Q_h", "eta", "engine_valid"):
-                assert np.array_equal(getattr(got, f)[k], getattr(want, f)[a], equal_nan=True)
+        k = np.array(data.draw(st.lists(st.integers(0, lattice.mus.size - 1), min_size=n,
+                                        max_size=n)))
+        l = np.array(data.draw(st.lists(st.integers(0, lattice.brs.size - 1), min_size=n,
+                                        max_size=n)))
+        rows = [(alpha, _point_rows(lattice, _Chain(cfg, alpha, lattice.mus, grid), k, l))
+                for grid in (True, False)]
+        rows += [(SHORT_RANGE, lattice.short_range(k, l)) for _ in range(2)]
+        for a, got in rows:
+            spectra = _spectra(cfg, a, lattice.mus)
+            for m, (i, j) in enumerate(zip(k, l)):
+                want = _table(cfg, spectra, lattice.brs[j])
+                for f in ("W", "Q_h", "eta", "engine_valid"):
+                    assert np.array_equal(getattr(got, f)[m], getattr(want, f)[i],
+                                          equal_nan=True)
 
 
 def block_rows(L):

@@ -1,11 +1,16 @@
 """Tests for grid sweeps, maxima, region masks, and the optimal-condition search."""
 
+import collections
 import concurrent.futures
+import ctypes
+import gc
 import math
 import multiprocessing
 import os
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,7 +239,9 @@ class SerialPool:
 
     made = []
 
-    def __init__(self, max_workers, mp_context):
+    def __init__(self, max_workers, mp_context, initializer):
+        # The initializer is not run: it would pin this process's BLAS threads.
+        assert initializer is sweep._one_blas_thread
         self.made.append((max_workers, mp_context.get_start_method()))
 
     def __enter__(self):
@@ -267,6 +274,38 @@ class TestWorkerProcesses:
             with pytest.raises(error):
                 max_ratio_grid(cfg)
             assert multiprocessing.active_children() == []
+
+    def test_parts_run_blas_on_one_thread(self, monkeypatch, tmp_path):
+        # Each forked part starts with numpy's OpenBLAS on one thread, even
+        # where the parent runs it on more; the parent keeps its own.
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas64_*.so*"))
+        if not libs:
+            pytest.skip("numpy bundles no scipy_openblas")
+        lib = ctypes.CDLL(str(libs[0]))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+        log = tmp_path / "threads"
+        surface = sweep._surface
+
+        def logging_surface(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {get()}\n")
+            return surface(*args)
+
+        monkeypatch.setattr(sweep, "_surface", logging_surface)
+        usable_cpus(monkeypatch, 2)
+        before = get()
+        set_(2)
+        try:
+            max_ratio_grid(self.small((1.5, 3.0), workers=2))
+            assert get() == 2
+        finally:
+            set_(before)
+        logged = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in logged}) == 2
+        assert {threads for _, threads in logged} == {"1"}
+        assert sweep.forked_parts_pin_blas()
 
     def test_parts_capped_at_alphas(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -395,23 +434,123 @@ class TestRegions:
         assert chain._grid_pairing.cache_info().misses == 2
 
 
+class PointLog:
+    """Records each point that ``sweep._point_rows`` evaluates by per-mode sums,
+    in this process and in forked parts, to the file ``path``: one line per
+    point with the process id, the round of the cusp walks, the number of
+    the ``_point_rows`` call in its process, the chain's alpha, the point's
+    lattice indices (k, l) and its (mu_f/mu_i, beta_h/beta_c).  A round
+    starts at each ``stable`` call of ``_stable_maxima``, and spans that
+    call's probes and the refinements of the next round."""
+
+    def __init__(self, monkeypatch, path):
+        self.path, self.round, self.calls = path, 0, 0
+        point_rows, stable_maxima = sweep._point_rows, sweep._stable_maxima
+
+        def recording(lattice, chain, k, l):
+            self.calls += 1
+            with open(path, "a") as f:
+                for a, b in zip(k.tolist(), l.tolist()):
+                    f.write(f"{os.getpid()} {self.round} {self.calls} {chain.base.alpha!r} "
+                            f"{a} {b} {float(lattice.mus[a])!r} {float(lattice.brs[b])!r}\n")
+            return point_rows(lattice, chain, k, l)
+
+        def walking(lo, hi, exact, refine, stable):
+            def counted(cand, cols):
+                self.round += 1
+                return stable(cand, cols)
+
+            return stable_maxima(lo, hi, exact, refine, counted)
+
+        monkeypatch.setattr(sweep, "_point_rows", recording)
+        monkeypatch.setattr(sweep, "_stable_maxima", walking)
+
+    def points(self, call):
+        """The logged points of ``call()``, each a namespace of the fields above."""
+        self.path.write_text("")
+        call()
+        names = ("pid", "round", "call", "alpha", "k", "l", "mu", "beta")
+        return [SimpleNamespace(**dict(zip(names, line.split())))
+                for line in self.path.read_text().splitlines()]
+
+
+def repeats(keys):
+    """The keys that occur more than once."""
+    counts = collections.Counter(keys)
+    return [key for key, n in counts.items() if n > 1]
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
     @pytest.mark.parametrize("beta_c", [5.0, 0.05])
-    def test_each_pair_once_per_call(self, kind, beta_c, monkeypatch):
-        # The W and eta walks of a column often probe the same midpoint; each
-        # round evaluates it once, so no gathered batch holds a pair twice.
+    def test_each_pair_once_per_call(self, kind, beta_c, monkeypatch, tmp_path):
+        # The W and eta walks of a column often probe the same midpoint, and
+        # the W and eta walks of optimal_condition the same beta neighbours
+        # and midpoints; each round evaluates each point once, so no gathered
+        # batch holds a pair twice and no round evaluates a long-range point
+        # twice.
         cfg = replace(config(kind=kind, beta_c=beta_c, alpha_grid=(1.3, 1.85)),
                       base=replace(BASE, L=200))
-        point_table, calls = sweep._point_table, []
+        points = PointLog(monkeypatch, tmp_path / "points").points(lambda: optimal_condition(cfg))
+        assert points
+        assert repeats((p.call, p.mu, p.beta) for p in points) == []
+        assert repeats((p.round, p.alpha, p.k, p.l) for p in points
+                       if p.alpha != repr(SHORT_RANGE)) == []
 
-        def recording(config, alpha, mu_ratios, beta_ratios):
-            calls.append([(float(m), float(b)) for m, b in zip(mu_ratios, beta_ratios)])
-            return point_table(config, alpha, mu_ratios, beta_ratios)
 
-        monkeypatch.setattr(sweep, "_point_table", recording)
+def lattice_values(grid):
+    """A grid and its half steps 0.5 (x[i] + x[i+1]), as floats."""
+    x = np.asarray(grid, dtype=float)
+    return set(x.tolist()) | set((0.5 * (x[:-1] + x[1:])).tolist())
+
+
+class TestLattice:
+    def small(self, kind, beta_c):
+        return replace(config(kind=kind, beta_c=beta_c, alpha_grid=(1.3, 1.85)),
+                       base=replace(BASE, L=200))
+
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    @pytest.mark.parametrize("beta_c", [5.0, 0.05])
+    def test_points_on_lattice(self, kind, beta_c, monkeypatch):
+        # Every spectrum row and every beta ratio that reaches the per-mode
+        # sums of the grid sweeps is a grid value or a half step.
+        cfg = self.small(kind, beta_c)
+        mu_fs, betas = set(), set()
+        energies, table = sweep.spectrum_energies, sweep._table
+
+        def recording_energies(params, mu=None):
+            if np.ndim(mu) == 1:
+                mu_fs.update(np.asarray(mu).tolist())
+            return energies(params, mu)
+
+        def recording_table(config, spectra, beta_ratio, col=None):
+            betas.update(np.atleast_1d(beta_ratio).tolist())
+            return table(config, spectra, beta_ratio, col)
+
+        monkeypatch.setattr(sweep, "spectrum_energies", recording_energies)
+        monkeypatch.setattr(sweep, "_table", recording_table)
         optimal_condition(cfg)
-        assert calls and all(len(set(pairs)) == len(pairs) for pairs in calls)
+        enhancement_regions(cfg, 1.3)
+        max_ratios(cfg, 1.85, 0.44)
+        mus = lattice_values(cfg.mu_ratio_grid)
+        assert mu_fs and mu_fs <= {m * cfg.mu_i for m in mus}
+        assert betas and betas <= lattice_values(cfg.beta_ratio_grid) | {0.44}
+
+    @pytest.mark.parametrize("kind", ["otto", "stirling"])
+    @pytest.mark.parametrize("beta_c", [5.0, 0.05])
+    def test_short_range_once(self, kind, beta_c, monkeypatch, tmp_path):
+        # Each short-range lattice point is evaluated at most once per call:
+        # the grid of every alpha and the walk along beta share one lattice.
+        # With workers=2 each forked part and the parent's walk evaluate
+        # theirs once each.
+        usable_cpus(monkeypatch, 2)
+        log = PointLog(monkeypatch, tmp_path / "points")
+        for workers, processes in ((1, 1), (2, 3)):
+            cfg = replace(self.small(kind, beta_c), workers=workers)
+            short = [(p.pid, p.k, p.l) for p in log.points(lambda: optimal_condition(cfg))
+                     if p.alpha == repr(SHORT_RANGE)]
+            assert len({pid for pid, _, _ in short}) == processes
+            assert repeats(short) == []
 
 
 class TestStableMaxima:
@@ -447,22 +586,46 @@ class TestStableMaxima:
 class TestScreen:
     @pytest.mark.parametrize("kind", ["otto", "stirling"])
     @pytest.mark.parametrize("beta_c", [5.0, 0.05])
-    def test_no_row_at_equal_mu(self, kind, beta_c, monkeypatch):
+    def test_no_row_at_equal_mu(self, kind, beta_c, monkeypatch, tmp_path):
         # At mu_f = mu_i the spectra are equal and W is exactly 0 on both
         # chains, so the surfaces rule the row out and no per-mode row of it
         # is ever evaluated.
         cfg = replace(config(kind=kind, beta_c=beta_c, alpha_grid=(1.5, 3.0)),
                       base=replace(BASE, L=200))
-        point_table, mus = sweep._point_table, []
-
-        def recording(config, alpha, mu_ratios, beta_ratios):
-            mus.extend(mu_ratios)
-            return point_table(config, alpha, mu_ratios, beta_ratios)
-
-        monkeypatch.setattr(sweep, "_point_table", recording)
-        enhancement_regions(cfg, 1.5)
-        max_ratio_grid(cfg)
+        log = PointLog(monkeypatch, tmp_path / "points")
+        mus = [float(p.mu) for call in (lambda: enhancement_regions(cfg, 1.5),
+                                        lambda: max_ratio_grid(cfg))
+               for p in log.points(call)]
         assert mus and 1.0 not in mus
+
+
+class TestRelease:
+    def test_no_lattice_outlives_its_call(self, monkeypatch):
+        # No lattice or chain is left in a reference cycle: with the cyclic
+        # collector off, each is gone once its call returns.
+        made = []
+
+        class Lattice(sweep._Lattice):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(weakref.ref(self))
+
+        class Chain(sweep._Chain):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(sweep, "_Lattice", Lattice)
+        monkeypatch.setattr(sweep, "_Chain", Chain)
+        cfg = replace(config(alpha_grid=(1.3, 1.85)), base=replace(BASE, L=200))
+        gc.disable()
+        try:
+            for call in (optimal_condition, max_ratio_grid):
+                made.clear()
+                call(cfg)
+                assert len(made) > 3 and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
 
 
 class TestOptimalCondition:

@@ -11,9 +11,11 @@ The record holds:
 * the line count of the checkout's ``src/`` Python files;
 * the output of ``python3 bench/run.py --workload all --seed 0 --seconds 15``
   in the checkout;
-* wall times of full default-grid ``lrk optimal`` runs, both cycles,
-  beta_c 5 and 0.05, workers 1 and 2, as the median and range of 3 runs,
-  with the SHA-256 of each ``optimal.json`` (equal across runs);
+* wall times and peak RSS of full default-grid ``lrk optimal`` runs, both
+  cycles, beta_c 5 and 0.05, workers 1 and 2, each as the median and range
+  of 3 runs, with the SHA-256 of each ``optimal.json`` (equal across runs).
+  A run's peak RSS is the ``ru_maxrss`` that ``os.wait4`` reports for its
+  process, which covers its forked parts;
 * the tier-1 wall time, its outcome counts and its five slowest tests.
 
 The ``lrk`` runs pin OPENBLAS/OMP/MKL threads to 1, as ``bench/run.py``
@@ -97,29 +99,44 @@ def bench_all(repo):
             "report": proc.stdout.strip().splitlines()[:-1]}
 
 
+def timed_run(argv, env):
+    """Run ``argv`` to completion: its wall time in s and its peak RSS in MB."""
+    t0 = time.monotonic()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    # wait4 reports this child's own rusage; RUSAGE_CHILDREN would be the
+    # largest peak of all children reaped so far.
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
 def optimal_times(repo):
     out = {}
     for cycle in ("stirling", "otto"):
         for beta_c in ("5", "0.05"):
             for workers in ("1", "2"):
-                walls, digests = [], set()
+                walls, rss, digests = [], [], set()
                 for _ in range(RUNS):
                     with tempfile.TemporaryDirectory() as tmp:
                         argv = [sys.executable, "-m", "lrkengine.cli", "optimal", "--cycle",
                                 cycle, "--beta-c", beta_c, "--workers", workers, "-o", tmp]
-                        t0 = time.monotonic()
-                        subprocess.run(argv, check=True, env=env_for(repo, True),
-                                       stdout=subprocess.DEVNULL)
-                        walls.append(time.monotonic() - t0)
+                        wall, peak = timed_run(argv, env_for(repo, True))
+                        walls.append(wall)
+                        rss.append(peak)
                         digests.add(hashlib.sha256(
                             (Path(tmp) / "optimal.json").read_bytes()).hexdigest())
                 out[f"{cycle} beta_c={beta_c} workers={workers}"] = {
                     "median_s": round(statistics.median(walls), 3),
                     "range_s": [round(min(walls), 3), round(max(walls), 3)],
                     "runs_s": [round(w, 3) for w in walls],
+                    "peak_rss_mb_median": round(statistics.median(rss), 1),
+                    "peak_rss_mb_range": [round(min(rss), 1), round(max(rss), 1)],
                     "optimal_json_sha256": sorted(digests),
                 }
-                print(cycle, beta_c, workers, walls, file=sys.stderr, flush=True)
+                print(cycle, beta_c, workers, walls, rss, file=sys.stderr, flush=True)
     return out
 
 
