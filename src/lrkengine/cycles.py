@@ -304,14 +304,23 @@ _U = 2.0**-53
 #: real axis to the nearest poles of ln cosh(beta_h eps / 2), at Im eps = +-pi / beta_h.
 _ELLIPSES = tuple(0.05 * k for k in range(1, 20)) + tuple(1.0 - 0.5**k for k in range(5, 25))
 
+#: Numbers of equal pieces that ``stirling_bounds`` weighs for its interpolants: powers
+#: of two, so that a piece's width is the range's width scaled exactly.
+_PIECE_COUNTS = (1, 2, 4, 8, 16)
+
 #: Chebyshev degrees per beta column beyond which ``stirling_bounds`` falls back to
 #: ``stirling_surface``.  A degree of the moments costs three cheap passes over the
-#: eps_f rows, 0.23 ms on the default grid, and a column of the exact surface about
-#: twenty, three of them exp, log1p and tanh, 2.0-2.7 ms; the refinements that the
-#: bound leaves take about 40 ms per chain more (L = 2000, 2 vCPUs, numpy 2.4).  On
-#: six alphas at beta_c = 5 (d 112-124) the exact surface was faster at 2 to 8
-#: columns and the surrogate at 16 and more.
+#: eps_f rows, 0.25 ms on the default grid on one piece and 0.27-0.28 ms on 8 or 16,
+#: and a column of the exact surface about twenty, three of them exp, log1p and
+#: tanh, 2.2-2.4 ms (L = 2000, 2 vCPUs, numpy 2.4).  On six alphas at beta_c = 5
+#: (16 pieces, d 17) the exact surface was faster at 2 columns and the surrogate at
+#: 4 and more; at beta_c = 0.05 (one piece, d 10) the surrogate at 2 and more.
 _DEGREES_PER_COLUMN = 8
+
+#: Cost in degrees, on the scale of ``_DEGREES_PER_COLUMN``, of splitting the eps_f
+#: rows into pieces: sorting each row and assigning each mode its piece took
+#: 2.5-3.4 ms on the default grid, 10-13 degrees.
+_PIECE_SETUP = 12
 
 
 def _gamma(n):
@@ -320,9 +329,23 @@ def _gamma(n):
     return n * _U / (1.0 - n * _U)
 
 
+def _row_gamma(n):
+    """gamma of numpy's sum of a contiguous row of n terms (``np.add.reduce`` along it).
+
+    numpy sums such a row pairwise: blocks of at most 128 terms, each by eight
+    running sums combined in a tree of depth 3, take at most 24 roundings per
+    term, each halving above 128 terms adds one, and the reduction's start adds
+    one more, so a term passes at most 25 + ceil(log2(n / 128)) roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2).
+    numpy does not promise this order; ``tests/test_properties.py`` pins it.
+    """
+    return _gamma(min(n - 1, 25 + ((n - 1) // 128).bit_length()))
+
+
 def _ellipses(center, half, beta_hs):
     """(rho, M_F, M_Phi) of the Bernstein ellipses ``_ELLIPSES`` around
-    [center - half, center + half], each of shape (n_beta, len(_ELLIPSES)).
+    [center - half, center + half], each of shape (n_beta, len(_ELLIPSES)) broadcast
+    against those of ``center`` and ``half``.
 
     F(eps) = ln cosh(z) / h and Phi(eps) = (ln cosh z - z tanh z) / h, with
     z = h eps and h = beta_h / 2, are analytic for |Im z| < pi/2.  On an
@@ -335,15 +358,16 @@ def _ellipses(center, half, beta_hs):
     Y = y / h
     major = np.hypot(Y, half)
     rho = (major + Y) / half
-    X = abs(center) + major
+    X = np.abs(center) + major
     M_F = (np.maximum(h * X, -np.log(np.cos(y))) + 0.5 * np.pi) / h
     return rho, M_F, M_F + np.hypot(X, Y) * np.maximum(1.0, np.tan(y))
 
 
 def _chebyshev_coefficients(center, half, beta_hs, degree):
-    """Coefficients (2, n_beta, degree + 1) of the interpolants of F and Phi (see
-    ``_ellipses``) in the Chebyshev points center + half cos(pi m / degree), and a
-    bound (2, n_beta) on the sum over j of the error of coefficient j.
+    """Coefficients (2, *shape, n_beta, degree + 1) of the interpolants of F and Phi
+    (see ``_ellipses``) in the Chebyshev points center + half cos(pi m / degree),
+    for each center of ``center`` (a scalar, or an array of that shape), and a
+    bound (2, *shape, n_beta) on the sum over j of the error of coefficient j.
 
     The values take no cancellation: with z = h eps, ln cosh z is
     log1p(2 sinh^2(z/2)) for z <= 1, and for z > 1 ln cosh z - z tanh z is
@@ -358,6 +382,7 @@ def _chebyshev_coefficients(center, half, beta_hs, degree):
     """
     d = degree
     m = np.arange(d + 1)
+    center = np.asarray(center, dtype=float)[..., None, None]
     x = center + half * np.cos(np.pi * m / d)
     h = 0.5 * np.asarray(beta_hs, dtype=float)[:, None]
     z = np.abs(h * x)
@@ -373,43 +398,86 @@ def _chebyshev_coefficients(center, half, beta_hs, degree):
     size = np.abs(values)
     lebesgue = 1.0 + (2.0 / np.pi) * math.log(d + 1)
     of_values = lebesgue * (16.0 * _U * np.max(np.sum(size, axis=0), axis=-1)
-                            + 3.0 * _U * (abs(center) + half))
+                            + 3.0 * _U * (np.abs(center[..., 0]) + half))
     of_transform = size @ (_gamma(d + 1) * np.sum(np.abs(P), axis=0)
                            + 20.0 * _U * (2.0 / d) * (d + 1))
     return values @ P.T, of_values + of_transform
 
 
-def _chebyshev_moments(eps_f, center, half, degree):
-    """M[row, j] = sum_k T_j(s_k) with s_k = (eps_f[row, k] - center) / half, shape
-    (n_mu, degree + 1), by the three-term recurrence in row blocks of
-    ``_SURFACE_BLOCK`` elements through four buffers allocated once.
+def _pieces(lo, hi, count):
+    """(scale, centers, half) of ``count`` equal pieces of [lo, hi], the range of a
+    chain's eps_f.
+
+    A mode eps lies in piece p = min(floor((eps - lo) * scale), count - 1)
+    (``_piece_index``), and piece p is the interval centers[p] +- half.  The
+    floor may put a mode up to 4 u (hi - lo) past the exact edge of its piece,
+    lo + p (hi - lo) / count or the next, and centers[p] and half round by at
+    most 3 u (hi - lo) + u max(|lo|, |hi|), so each half-width is widened by
+    16 u (|lo| + |hi|): every mode lies in its piece's interval in exact
+    arithmetic.  ``count`` is a power of two, which divides exactly.
+    """
+    width = (hi - lo) / count
+    centers = lo + (np.arange(count) + 0.5) * width
+    half = 0.5 * width + 16.0 * _U * (abs(lo) + abs(hi)) + np.finfo(float).tiny
+    scale = count / (hi - lo) if hi > lo else 0.0
+    return scale, centers, half
+
+
+def _piece_index(eps, lo, scale, count):
+    """The piece of each mode of ``eps`` among the ``_pieces``, as intp."""
+    return np.minimum(((eps - lo) * scale).astype(np.intp), count - 1)
+
+
+def _chebyshev_moments(eps_f, lo, scale, centers, half, degree):
+    """M[row, p (degree + 1) + j] = sum over the modes k of piece p of T_j(s_k), with
+    s_k = (eps_f[row, k] - centers[p]) / half, shape (n_mu, P (degree + 1)) for the
+    P = len(centers) ``_pieces``.
+
+    The rows go in blocks of ``_SURFACE_BLOCK`` elements.  Where P > 1 each
+    block's rows are sorted, so that each piece's modes form one run per row,
+    and every mode takes the three-term recurrence at its own piece's s, through
+    four buffers allocated once; ``np.add.reduceat`` sums the runs.  numpy does
+    not state reduceat's order, so the bound takes gamma_nk for these sums.
 
     Each computed T_j lies within 4.5 u j^2 of T_j at the exact s: 3 u j^2 from
     the rounding of s (Markov's inequality), 1.5 u j^2 from that of the
     recurrence, whose local errors of at most 3 u grow like Chebyshev
     polynomials of the second kind.
     """
+    count = centers.size
     n_mu, nk = eps_f.shape
-    M = np.empty((n_mu, degree + 1))
-    M[:, 0] = nk
+    M = np.zeros((n_mu * count, degree + 1))
     rows = max(1, _SURFACE_BLOCK // nk)
-    s2, prev, cur, tmp = (np.empty((min(rows, n_mu), nk)) for _ in range(4))
+    size = min(rows, n_mu) * nk
+    s2, prev, cur, tmp = (np.empty(size) for _ in range(4))
     for r in range(0, n_mu, rows):
         f = eps_f[r : r + rows]
         m = f.shape[0]
-        sb, a, b, t = s2[:m], prev[:m], cur[:m], tmp[:m]
-        np.subtract(f, center, out=b)
+        sb, a, b, t = s2[: m * nk], prev[: m * nk], cur[: m * nk], tmp[: m * nk]
+        if count == 1:
+            np.subtract(f.ravel(), centers[0], out=b)
+            runs = np.full(m, nk)
+        else:
+            f = np.sort(f, axis=-1)
+            p = _piece_index(f, lo, scale, count)
+            np.subtract(f.ravel(), centers[p.ravel()], out=b)
+            p += (np.arange(m) * count)[:, None]
+            runs = np.bincount(p.ravel(), minlength=m * count)
         np.divide(b, half, out=b)
         np.clip(b, -1.0, 1.0, out=b)  # T_1
-        np.add.reduce(b, axis=-1, out=M[r : r + m, 1])
+        held = runs > 0
+        starts = (np.cumsum(runs) - runs)[held]
+        out = r * count + np.flatnonzero(held)
+        M[out, 0] = runs[held]
+        M[out, 1] = np.add.reduceat(b, starts)
         np.multiply(b, 2.0, out=sb)
         a.fill(1.0)  # T_0
         for j in range(2, degree + 1):
             np.multiply(sb, b, out=t)
             np.subtract(t, a, out=a)  # T_j = 2 s T_(j-1) - T_(j-2)
-            np.add.reduce(a, axis=-1, out=M[r : r + m, j])
+            M[out, j] = np.add.reduceat(a, starts)
             a, b = b, a
-    return M
+    return M.reshape(n_mu, count * (degree + 1))
 
 
 def stirling_bounds(eps_i, eps_f, beta_hs, beta_c: float):
@@ -419,12 +487,13 @@ def stirling_bounds(eps_i, eps_f, beta_hs, beta_c: float):
     Per row and beta_h, W = S_F - sum_k F(eps_i) + sum_k w_c and
     Q_h = S_Phi - sum_k Phi(eps_i) + Q_IV, where S_F = sum_k F(eps_f,k) and
     S_Phi = sum_k Phi(eps_f,k), with F(eps) = (2/beta_h) ln cosh(beta_h eps / 2)
-    and Phi(eps) = F(eps) - eps tanh(beta_h eps / 2).  S_F and S_Phi come from
-    degree-d Chebyshev interpolants of F and Phi on the range of ``eps_f``: the
-    moments M[row, j] = sum_k T_j(s(eps_f,k)) are formed once for every beta_h,
-    and S = M @ C, one GEMM each against the coefficients C of every beta_h.
-    The eps_i sums and the cold terms w_c are per-mode sums as in
-    ``stirling_mode_sums``.
+    and Phi(eps) = F(eps) - eps tanh(beta_h eps / 2).  The range of ``eps_f``
+    is cut into P equal pieces (``_pieces``), and S_F and S_Phi come from a
+    degree-d Chebyshev interpolant of F and Phi on each piece: the moments
+    M[row, p, j] = sum over the modes of piece p of T_j(s_p(eps_f,k)) are
+    formed once for every beta_h, and S = M @ C, one GEMM each against the
+    coefficients C of every piece and beta_h, stacked.  The eps_i sums and the
+    cold terms w_c are per-mode sums as in ``stirling_mode_sums``.
 
     ``tol`` is the sum of, per row and beta_h, with nk modes, S the sum over
     modes of eps_f + eps_i, D that of |eps_f - eps_i|, g = 2/beta_h and
@@ -432,62 +501,72 @@ def stirling_bounds(eps_i, eps_f, beta_hs, beta_c: float):
 
     * nk times the interpolation error of F or Phi, the larger: the bound
       4 M rho^-d / (rho - 1) of Trefethen, Approximation Theory and
-      Approximation Practice, Thm 8.2, least over the ellipses of ``_ellipses``;
-    * nk times the rounding of the interpolation: of the coefficients
-      (``_chebyshev_coefficients``), 4.5 u j^2 |c_j| for T_j
-      (``_chebyshev_moments``), gamma_nk |c_j| for the sum of T_j over modes and
-      gamma_(d+1) |c_j| for the GEMM, summed over j;
+      Approximation Practice, Thm 8.2, least over the ellipses of ``_ellipses``
+      around the piece farthest from 0, whose M bounds every piece's;
+    * nk times the rounding of the interpolation on any piece, the largest: of
+      the coefficients (``_chebyshev_coefficients``), 4.5 u j^2 |c_j| for T_j
+      (``_chebyshev_moments``), gamma_nk |c_j| for the sum of T_j over the
+      piece's modes, in an order numpy does not state, and gamma_(P(d+1)) |c_j|
+      for the GEMM, summed over j;
     * the ln cosh rounding of the per-mode sums on both sides,
       u (12 S + 16 nk (g + g_c)): one ln cosh of x rounds by at most
       u (3|x| + 4), and x = beta eps / 2 is scaled by 2/beta;
     * the other rounding of the per-mode terms on both sides, 40 u S, and of
-      their sums over modes, gamma_nk (3 D + 4 S).
+      their sums over modes, gamma_h (3 D + 4 S) with h numpy's pairwise depth
+      for a row of nk terms (``_row_gamma``): each of those sums is
+      ``np.add.reduce`` along a contiguous row.
 
-    d is the least degree >= 2 at which the interpolation error is at most
-    u (g + max eps_f) / 16 per mode for every beta_h.  Where that d would cost
-    more than ``stirling_surface``, more than ``_DEGREES_PER_COLUMN`` degrees
-    per column, the exact surface is returned with ``tol`` 0.
+    For each P of ``_PIECE_COUNTS``, d_P is the least degree >= 2 at which the
+    interpolation error is at most u (g + max eps_f) / 16 per mode for every
+    beta_h on every piece, and the surrogate costs d_P degrees, plus
+    ``_PIECE_SETUP`` where P > 1; the cheapest P is taken.  Where even that
+    costs more than ``stirling_surface``, more than ``_DEGREES_PER_COLUMN``
+    degrees per column (also where no ellipse gives a bound), the exact
+    surface is returned with ``tol`` 0.
     """
     eps_f = np.asarray(eps_f, dtype=float)
     beta_hs = np.asarray(beta_hs, dtype=float)
-    center, half, hi = _interval(eps_f)
-    rho, _, M_Phi = _ellipses(center, half, beta_hs)
+    lo, hi = float(eps_f.min()), float(eps_f.max())
     target = (_U / 16.0) * (2.0 / beta_hs + hi)
+    counts = np.array(_PIECE_COUNTS)
+    pieces = [_pieces(lo, hi, n) for n in counts]
+    # The piece farthest from 0 needs the highest degree.
+    far = np.array([np.max(np.abs(centers)) for _, centers, _ in pieces])
+    half = np.array([half for _, _, half in pieces])
+    rho, _, M_Phi = _ellipses(far[:, None, None], half[:, None, None], beta_hs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         need = np.log(4.0 * M_Phi / ((rho - 1.0) * target[:, None])) / np.log(rho)
-    need = np.max(np.min(need, axis=1))
-    if not need <= _DEGREES_PER_COLUMN * beta_hs.size:  # also where no ellipse fits
+    need = np.maximum(2.0, np.ceil(np.max(np.min(need, axis=-1), axis=-1)))
+    cost = need + np.where(counts > 1, _PIECE_SETUP, 0)
+    best = int(np.argmin(cost))
+    if not cost[best] <= _DEGREES_PER_COLUMN * beta_hs.size:
         W, Q_h = stirling_surface(eps_i, eps_f, beta_hs, beta_c)
         return W, Q_h, np.zeros_like(W)
-    return _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, max(2, int(np.ceil(need))))
+    return _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, int(need[best]),
+                               int(counts[best]))
 
 
-def _interval(eps_f):
-    """(center, half) of an interval that holds every ``eps_f`` despite the rounding,
-    and max ``eps_f``."""
-    lo, hi = float(eps_f.min()), float(eps_f.max())
-    half = 0.5 * (hi - lo) * (1.0 + 4 * _U) + 4 * _U * hi + np.finfo(float).tiny
-    return 0.5 * (lo + hi), half, hi
-
-
-def _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c: float, degree):
-    """``stirling_bounds`` at Chebyshev degree ``degree``."""
+def _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c: float, degree, count=1):
+    """``stirling_bounds`` at Chebyshev degree ``degree`` on ``count`` pieces."""
     eps_i = np.asarray(eps_i, dtype=float)
     eps_f = np.asarray(eps_f, dtype=float)
     beta_hs = np.asarray(beta_hs, dtype=float)
     n_mu, nk = eps_f.shape
-    center, half, _ = _interval(eps_f)
+    lo = float(eps_f.min())
+    scale, centers, half = _pieces(lo, float(eps_f.max()), count)
     g, g_c = 2.0 / beta_hs, 2.0 / beta_c
-    rho, M_F, M_Phi = _ellipses(center, half, beta_hs)
+    # M_F and M_Phi grow with |center|: the piece farthest from 0 bounds them all.
+    rho, M_F, M_Phi = _ellipses(np.max(np.abs(centers)), half, beta_hs)
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.nan_to_num(4.0 * rho ** -float(degree) / (rho - 1.0))
     truncation = np.stack([np.min(M_F * decay, axis=1), np.min(M_Phi * decay, axis=1)])
-    coef, coef_err = _chebyshev_coefficients(center, half, beta_hs, degree)
+    coef, coef_err = _chebyshev_coefficients(centers, half, beta_hs, degree)
     j = np.arange(degree + 1)
     size = np.abs(coef)
-    interp = (truncation + coef_err + 4.5 * _U * size @ (j * j)
-              + (_gamma(nk) + _gamma(degree + 1)) * np.sum(size, axis=-1))
-    M = _chebyshev_moments(eps_f, center, half, degree)
+    interp = (truncation[:, None] + coef_err + 4.5 * _U * size @ (j * j)
+              + (_gamma(nk) + _gamma(count * (degree + 1))) * np.sum(size, axis=-1))
+    M = _chebyshev_moments(eps_f, lo, scale, centers, half, degree)
+    coef = coef.transpose(0, 2, 1, 3).reshape(2, beta_hs.size, count * (degree + 1))
     S_F, S_Phi = M @ coef[0].T, M @ coef[1].T
 
     # The per-row and per-beta sums, in blocks of _SURFACE_BLOCK elements.
@@ -510,8 +589,8 @@ def _stirling_surrogate(eps_i, eps_f, beta_hs, beta_c: float, degree):
         Q_IV[r : r + rows] = np.sum(eps_i * (t_ci - t_hi), axis=-1)
     W = S_F - F_i + w_c
     Q_h = S_Phi - Phi_i + Q_IV
-    tol = (nk * np.max(interp, axis=0) + _U * (12.0 * S + 16.0 * nk * (g + g_c))
-           + 40.0 * _U * S + _gamma(nk) * (3.0 * D + 4.0 * S))
+    tol = (nk * np.max(interp, axis=(0, 1)) + _U * (12.0 * S + 16.0 * nk * (g + g_c))
+           + 40.0 * _U * S + _row_gamma(nk) * (3.0 * D + 4.0 * S))
     return W, Q_h, tol
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import lrkengine
 from lrkengine import SHORT_RANGE, ChainParams, build_spectrum
+from lrkengine.chain import _grid_pairing, _pairing_weights, momentum_grid
 from lrkengine.oracle import (
     ENUMERATION_L_CAP,
     ORACLE_L_CAP,
@@ -140,3 +141,76 @@ class TestRuntimeOracleFree:
         assert "lrkengine.oracle" not in names
         assert "lrkengine.cli" in names
         assert names == {m: [] for m in names}
+
+
+def polylog_limit(alpha, k):
+    """f_inf(k) = 2 Im Li_alpha(e^{ik}), the pairing sum of the infinite chain
+    (Vodola et al., PRL 113, 156402, 2014), to 25 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        return float(2 * mpmath.im(mpmath.polylog(alpha, mpmath.expj(k))))
+
+
+def tail_law(alpha, L, k):
+    """alpha 2^alpha L^-(alpha+1) / sin^2(k/2): the leading term of f_L(k) - f_inf(k)
+    at a grid momentum.  f_L sums 2 sin(kl)/l^alpha over l < L/2 and the l = L/2
+    term once, so the difference is minus the tail beyond L/2 with the endpoint
+    at half weight; summed by parts twice, with cos(kL/2) = 0 on the
+    antiperiodic grid, its l^-alpha terms cancel and the derivative term leads."""
+    return alpha * 2.0**alpha * L ** -(alpha + 1.0) / math.sin(0.5 * k) ** 2
+
+
+def fft_floor(L, alpha):
+    """2 u log2(L) sum_l w_l: the rounding of the length-L FFT, where it passes the tail."""
+    return 2.0 * 2.0**-53 * math.log2(L) * float(np.sum(_pairing_weights(L, alpha)[1]))
+
+
+def grid_index(L, k):
+    """The index of the grid momentum pi (2n - 1)/L nearest ``k``."""
+    return min(L // 2, max(1, round((k * L / math.pi + 1.0) / 2.0))) - 1
+
+
+class TestPolylogLimit:
+    """``chain._grid_pairing`` against its thermodynamic limit.
+
+    Measured over alpha 1.001-6 and L 200-2e6, |f_L - f_inf| is 0.96-1.000
+    of ``tail_law`` at k >= 0.3, and 0.91-0.93 of it at the three smallest
+    momenta, where it decays only like L^(1 - alpha); at L = 2e6 the FFT's
+    rounding (``fft_floor``) takes over from the tail for alpha >= 1.5.  At
+    alpha = 1.5, k = 0.35 and L = 2000 the error is 7.81e-7.
+    """
+
+    @pytest.mark.parametrize("alpha,L,k", [
+        (1.5, 2000, 0.35), (1.5, 200, 1.5), (1.5, 200_000, 0.35), (1.5, 2_000_000, 1.5),
+        (1.2, 2000, 3.0), (2.2, 20_000, 0.7), (3.0, 200, 0.35), (3.0, 2000, 3.0),
+        (4.5, 200, 1.5), (6.0, 200, 0.35), (6.0, 2000, 2.0),
+    ])
+    def test_bulk(self, alpha, L, k):
+        # Near L^-(alpha+1): within 5% of the leading term, plus the FFT floor.
+        n = grid_index(L, k)
+        k = momentum_grid(L)[n]
+        err = abs(_grid_pairing(L, alpha)[1][n] - polylog_limit(alpha, k))
+        assert err <= 1.05 * tail_law(alpha, L, k) + fft_floor(L, alpha)
+
+    @pytest.mark.parametrize("alpha,L,n", [
+        (1.2, 200, 1), (1.5, 2000, 1), (1.5, 20_000, 2), (3.0, 200, 3), (6.0, 200, 1),
+    ])
+    def test_small_k(self, alpha, L, n):
+        # At k = (2n - 1) pi / L the leading term is about
+        # alpha 2^alpha (4 / pi^2) L^(1 - alpha) / (2n - 1)^2, and the error
+        # stays below it.
+        k = momentum_grid(L)[n - 1]
+        err = abs(_grid_pairing(L, alpha)[1][n - 1] - polylog_limit(alpha, k))
+        assert err <= alpha * 2.0**alpha * (4.0 / math.pi**2) * L ** (1.0 - alpha) / (2 * n - 1) ** 2
+
+    @pytest.mark.parametrize("alpha,L", [(1.001, 200), (1.01, 2000), (1.001, 2_000_000)])
+    def test_alpha_near_one(self, alpha, L):
+        # f_inf tends to pi - k as alpha -> 1, and the error at the smallest
+        # momentum no longer decays with L (0.03 at L = 2e6): each momentum
+        # has its own bound, the leading term, within 5%.
+        f = _grid_pairing(L, alpha)[1]
+        k = momentum_grid(L)
+        for n in (0, 1, grid_index(L, 0.35), L // 2 - 1):
+            err = abs(f[n] - polylog_limit(alpha, k[n]))
+            assert err <= 1.05 * tail_law(alpha, L, k[n]) + fft_floor(L, alpha)
+        assert abs(f[0] - polylog_limit(alpha, k[0])) > 0.02

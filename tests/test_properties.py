@@ -7,6 +7,7 @@ must stay bitwise equal to the direct formulas.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,33 +332,151 @@ class TestStirlingSurface:
 mu_grids_with_one = mu_grids.map(lambda mus: sorted({*mus, 1.0}))
 
 
+def adversarial_rows(n, rng):
+    """Three rows of n terms: a 1 and then halves of its ulp, which a sum from
+    the left drops one by one; a 1 at the head of every 128-term block and the
+    same halves, of which each of numpy's pairwise blocks drops 15; and normal
+    terms of mixed signs and magnitudes 1e-8 to 1e8."""
+    halves = np.full(n, 0.5 * EPS)
+    head, blocks = halves.copy(), halves.copy()
+    head[0] = 1.0
+    blocks[::128] = 1.0
+    return np.stack([head, blocks, rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)])
+
+
+def sum_error(total, row):
+    """|total - sum of row| in exact arithmetic, rounded once."""
+    return abs(math.fsum([total, *(-row).tolist()]))
+
+
+def pairwise_bound(row):
+    """gamma_h sum |x| for numpy's pairwise depth h = 25 + ceil(log2(n / 128)),
+    or n - 1 where that is less, the bound of any order."""
+    n = row.size
+    h = min(n - 1, 25 + max(0, math.ceil(math.log2(n / 128))))
+    return h * EPS / 2 / (1 - h * EPS / 2) * math.fsum(np.abs(row).tolist())
+
+
+class TestRowSums:
+    """``cycles._row_gamma`` bounds a sum over modes by numpy's pairwise depth,
+    which numpy does not promise: these tests pin that order for
+    ``np.add.reduce`` along contiguous rows, as the mode sums take it."""
+
+    def check(self, n, rng):
+        # Up to n = 4097 the rows are summed as one block of 48, as the mode
+        # sums' blocks of rows are, and into a strided out, as
+        # stirling_surface's are.
+        rows = adversarial_rows(n, rng)
+        block = np.tile(rows, (16, 1)) if n <= 4097 else rows
+        column = np.empty((len(block), 2))
+        np.add.reduce(block, axis=-1, out=column[:, 1])
+        totals = np.add.reduce(block, axis=-1)
+        for k, row in enumerate(rows):
+            assert sum_error(totals[k], row) <= pairwise_bound(row)
+            assert np.all(totals[k::3] == totals[k]) and np.all(column[k::3, 1] == totals[k])
+        h = min(n - 1, 25 + max(0, math.ceil(math.log2(n / 128))))
+        assert cycles._row_gamma(n) == cycles._gamma(h)
+
+    def test_every_size_to_600(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 601):
+            self.check(n, rng)
+
+    @pytest.mark.parametrize("n", [1000, 1023, 1024, 1025, 4097, 65537, 10**5, 2**20 + 1,
+                                   2 * 10**6])
+    def test_large(self, n):
+        self.check(n, np.random.default_rng(n))
+
+    def test_left_to_right_fails(self):
+        # A sum from the left, as np.add.accumulate takes it, breaks the
+        # pairwise bound on both structured rows at nk = 1000.
+        for row in adversarial_rows(1000, np.random.default_rng(0))[:2]:
+            assert sum_error(np.add.accumulate(row)[-1], row) > pairwise_bound(row)
+
+
+def assert_pieces_hold(eps_f):
+    # Every mode lies, in exact arithmetic, in the interval of the piece
+    # that ``_piece_index`` gives it, for every piece count: the premise of
+    # the interpolation bound.
+    lo, hi = float(eps_f.min()), float(eps_f.max())
+    for count in cycles._PIECE_COUNTS:
+        scale, centers, half = cycles._pieces(lo, hi, count)
+        piece = cycles._piece_index(eps_f, lo, scale, count)
+        for p in np.unique(piece):
+            held = eps_f[piece == p]
+            c, h = Fraction(centers[p]), Fraction(half)
+            assert c - h <= Fraction(held.min()) and Fraction(held.max()) <= c + h
+
+
+def any_order_moment_term(eps_f, beta_hs, degree, count):
+    # nk gamma_nk sum_j |c_j|, the largest over F, Phi and the pieces: the
+    # moments are sums of n terms of magnitude at most 1 by np.add.reduceat,
+    # whose order numpy does not state, and a sum from the left reaches
+    # gamma_(n-1) n (TestRowSums::test_left_to_right_fails).
+    nk = eps_f.shape[1]
+    _, centers, half = cycles._pieces(float(eps_f.min()), float(eps_f.max()), count)
+    coef, _ = cycles._chebyshev_coefficients(centers, half, beta_hs, degree)
+    return nk * cycles._gamma(nk) * np.max(np.sum(np.abs(coef), axis=-1), axis=(0, 1))
+
+
+def surrogate_calls(mp):
+    """Record the (degree, count) of each ``_stirling_surrogate`` call."""
+    calls, surrogate = [], cycles._stirling_surrogate
+    mp.setattr(cycles, "_stirling_surrogate", lambda *a: calls.append(a[4:]) or surrogate(*a))
+    return calls
+
+
 class TestStirlingScreen:
     @settings(max_examples=60, deadline=None)
     @given(L=st.integers(2, 2048).map(lambda n: 2 * n), alpha=alphas_or_sr,
            mu_i=st.floats(0.1, 3.0), beta_c=st.floats(0.01, 50.0), mu_ratios=mu_grids_with_one,
-           beta_ratios=beta_grids, degree=st.one_of(st.none(), st.integers(2, 60)))
+           beta_ratios=beta_grids, degree=st.one_of(st.none(), st.integers(2, 60)),
+           pieces=st.sampled_from(cycles._PIECE_COUNTS))
     @example(L=4, alpha=SHORT_RANGE, mu_i=2.0, beta_c=0.01, mu_ratios=[0.3, 1.0],
-             beta_ratios=[0.01, 0.5], degree=None)
+             beta_ratios=[0.01, 0.5], degree=None, pieces=1)
     @example(L=4096, alpha=1.05, mu_i=2.0, beta_c=5.0, mu_ratios=[0.0, 0.5, 0.99, 1.0],
-             beta_ratios=[0.5, 0.99], degree=8)
+             beta_ratios=[0.5, 0.99], degree=8, pieces=1)
     @example(L=2000, alpha=1.5, mu_i=2.0, beta_c=50.0, mu_ratios=[0.2, 0.7, 1.0],
-             beta_ratios=[0.1, 0.9], degree=None)
-    def test_within_bound(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios, degree):
+             beta_ratios=[0.1, 0.9], degree=None, pieces=1)
+    # On 16 pieces at nk = 8192, where the any-order term of the moment sums
+    # is most of the bound.
+    @example(L=16384, alpha=1.05, mu_i=2.0, beta_c=5.0, mu_ratios=[0.0, 0.5, 0.99, 1.0],
+             beta_ratios=[0.2, 0.4, 0.6, 0.8], degree=None, pieces=1)
+    @example(L=4096, alpha=1.5, mu_i=2.0, beta_c=5.0, mu_ratios=[0.0, 0.5, 1.0],
+             beta_ratios=[0.3, 0.7], degree=8, pieces=4)
+    # A mode of the first row at (eps - lo) * scale = 1, 2 and 8 exactly, a
+    # piece boundary of 2, 4 and 16 pieces.
+    @example(L=8, alpha=SHORT_RANGE, mu_i=1.5384949652013988, beta_c=5.0,
+             mu_ratios=[0.3, 0.6, 1.0], beta_ratios=[0.2, 0.8], degree=6, pieces=2)
+    @example(L=8, alpha=2.0, mu_i=1.9427240077070833, beta_c=5.0, mu_ratios=[0.3, 0.6, 1.0],
+             beta_ratios=[0.2, 0.8], degree=4, pieces=16)
+    @example(L=12, alpha=1.5, mu_i=2.275170852609899, beta_c=5.0, mu_ratios=[0.3, 0.6, 1.0],
+             beta_ratios=[0.2, 0.8], degree=None, pieces=1)
+    def test_within_bound(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios, degree, pieces):
         # Every W and Q_h cell lies within tol of stirling_mode_sums, at the
-        # degree the bound chooses (or on the exact surface, with tol 0) and
-        # at any fixed degree, where the interpolation error dominates.  The
-        # row mu_f/mu_i = 1 has W = 0 exactly.
+        # degree and pieces the bound chooses (or on the exact surface, with
+        # tol 0) and at any fixed degree and piece count, where the
+        # interpolation error dominates.  The row mu_f/mu_i = 1 has W = 0
+        # exactly.  Rounding terms lie orders of magnitude above the errors
+        # seen, so the bound's premises are checked as well: the pieces hold
+        # their modes, and tol holds the moment sums in any order.
         cfg = sweep_config("stirling", L, mu_i, beta_c, mu_ratios)
         eps_i, eps_f = _spectra(cfg, alpha, mu_ratios)
         beta_hs = np.asarray(beta_ratios) * beta_c
-        if degree is None:
-            W, Q_h, tol = stirling_bounds(eps_i, eps_f, beta_hs, beta_c)
-        else:
-            W, Q_h, tol = cycles._stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, degree)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = surrogate_calls(mp)
+            if degree is None:
+                W, Q_h, tol = stirling_bounds(eps_i, eps_f, beta_hs, beta_c)
+            else:
+                W, Q_h, tol = cycles._stirling_surrogate(eps_i, eps_f, beta_hs, beta_c, degree,
+                                                         pieces)
         for j, beta_h in enumerate(beta_hs):
             want_W, want_Q_h = stirling_mode_sums(eps_i, eps_f, beta_h, beta_c)[4:]
             assert np.all(np.abs(W[:, j] - want_W) <= tol[:, j])
             assert np.all(np.abs(Q_h[:, j] - want_Q_h) <= tol[:, j])
+        assert_pieces_hold(eps_f)
+        for d, count in calls:
+            assert np.all(tol >= any_order_moment_term(eps_f, beta_hs, d, count))
 
     @settings(max_examples=30, deadline=None)
     @given(L=st.integers(2, 256).map(lambda n: 2 * n), alpha=alphas_or_sr,
@@ -370,6 +489,12 @@ class TestStirlingScreen:
              mu_ratios=[0.2, 0.6, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1.0], screen=True)
     @example(L=64, alpha=1.5, mu_i=0.0, beta_c=5.0, beta_ratios=[0.1, 0.5],
              mu_ratios=[0.0, 0.5, 1.0], screen=True)
+    # On 16 pieces, with a mode of the first row of the long-range chain on
+    # the boundary of pieces 7 and 8.
+    @example(L=8, alpha=2.0, mu_i=1.9427240077070833, beta_c=5.0, beta_ratios=[0.2, 0.8],
+             mu_ratios=[0.3, 0.6, 1.0], screen=True)
+    @example(L=12, alpha=1.5, mu_i=2.275170852609899, beta_c=5.0, beta_ratios=[0.2, 0.8],
+             mu_ratios=[0.3, 0.6, 1.0], screen=True)
     def test_decisions_match_tables(self, L, alpha, mu_i, beta_c, mu_ratios, beta_ratios,
                                     screen):
         # As for Otto, on the Chebyshev surrogate wherever ``screen`` holds,
