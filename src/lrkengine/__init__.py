@@ -5,6 +5,7 @@ from .chain import (
     ChainParams,
     GaplessConfigurationError,
     InvalidParameterError,
+    NonFiniteResultError,
     QuasiparticleSpectrum,
     WindingResult,
     build_spectrum,

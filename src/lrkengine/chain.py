@@ -25,6 +25,10 @@ class GaplessConfigurationError(RuntimeError):
     """Raised when a winding number is requested for a (near-)gapless chain."""
 
 
+class NonFiniteResultError(RuntimeError):
+    """Raised when finite inputs give a non-finite level or cycle quantity (overflow)."""
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Static description of the working medium.
@@ -223,13 +227,19 @@ def winding_number(params: ChainParams, grid_density: int = 100_000) -> WindingR
 def spectrum_scan(params_base: ChainParams, mu_values) -> np.ndarray:
     """Sorted single-particle levels {+-eps_k}, one row of L per mu in ``mu_values``.
 
-    All mu values are evaluated in one ``spectrum_energies`` call.
+    All mu values are evaluated in one ``spectrum_energies`` call.  Each row
+    is ``concatenate([-e[::-1], e])`` with e the row's eps_k sorted, so its
+    first half mirrors its second bitwise.  A level that overflows raises
+    ``NonFiniteResultError``.
     """
     mus = np.asarray(mu_values, dtype=float)
     if not np.all(np.isfinite(mus)):
         raise InvalidParameterError("mu values must be finite")
-    e = spectrum_energies(params_base, mus)
-    return np.sort(np.concatenate([-e, e], axis=1), axis=1)
+    with np.errstate(over="ignore"):
+        e = np.sort(spectrum_energies(params_base, mus), axis=1)
+    if not np.all(np.isfinite(e)):
+        raise NonFiniteResultError("a level of the spectrum scan overflows to inf")
+    return np.concatenate([-e[:, ::-1], e], axis=1)
 
 
 def min_gap(params: ChainParams) -> float:

@@ -31,6 +31,7 @@ from .chain import (
     ChainParams,
     GaplessConfigurationError,
     InvalidParameterError,
+    NonFiniteResultError,
     momentum_grid,
     spectrum_energies,
     spectrum_scan,
@@ -56,7 +57,7 @@ EXIT_IO = 4
 #: Representative alpha values used for figure panels spanning [1.05, 6].
 ALPHA_PANEL = (1.05, 1.2, 1.5, 2.0, 3.0, 6.0)
 
-CONTRACT_ERRORS = (InsufficientDataError, GaplessConfigurationError)
+CONTRACT_ERRORS = (InsufficientDataError, GaplessConfigurationError, NonFiniteResultError)
 
 
 class ConfigError(ValueError):
@@ -119,9 +120,13 @@ def _write_csv(path, header, columns):
 
 
 def _write_json(path, obj):
+    """Strict JSON of ``obj``: a NaN or infinity raises ``NonFiniteResultError``, writing nothing."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _plot_script(path, title, xlabel, ylabel, plot_expr):
@@ -207,13 +212,23 @@ def _sweep_config(res, cycle_kind, mu_ratio_grid=None, beta_c=None):
 
 
 def _spectrum_table(outdir, stem, params, mus, plots):
-    """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``."""
+    """``stem``.csv, the sorted levels at each mu, and its gnuplot script when ``plots``.
+
+    A row of ``spectrum_scan`` is -e[::-1] then e, with e >= 0, and "%.17g" % -x is "-"
+    followed by "%.17g" % x for every x >= 0, 0.0 and inf included.  So the row template,
+    with the level indices in it, is built once, and each mu's block is one ``%`` of it,
+    the mu's text in place of each NUL, over the texts of e, each formatted once, reversed
+    and then in order.
+    """
     levels = spectrum_scan(params, mus)
-    _write_csv(os.path.join(outdir, f"{stem}.csv"), ["mu", "level_index", "energy"], [
-        np.repeat(_key_text(mus), params.L),
-        np.tile(np.arange(params.L), len(levels)),
-        levels.ravel(),
-    ])
+    half = params.L // 2
+    template = "".join(f"\0,{i},-%s\n" for i in range(half))
+    template += "".join(f"\0,{i},%s\n" for i in range(half, params.L))
+    with open(os.path.join(outdir, f"{stem}.csv"), "w", newline="") as fh:
+        fh.write("mu,level_index,energy\n")
+        for key, e in zip(_key_text(mus), levels[:, half:]):
+            texts = ("%.17g\n" * half % tuple(e.tolist())).split()
+            fh.write(template.replace("\0", key) % (*texts[::-1], *texts))
     if not plots:
         return [f"{stem}.csv"]
     _plot_script(os.path.join(outdir, f"{stem}.gp"), "energy spectrum", "mu", "energy",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainParams, InvalidParameterError, spectrum_energies
+from .chain import ChainParams, InvalidParameterError, NonFiniteResultError, spectrum_energies
 from .thermo import lncosh
 
 #: Relative zero test of ``ratio_arrays``: a reference quantity counts as zero
@@ -610,28 +610,41 @@ def _cycle_energies(spec: CycleSpec):
     return eps_i, eps_f
 
 
+def _finite(kind, names, values):
+    """``values`` as floats; a non-finite one raises ``NonFiniteResultError`` naming it."""
+    values = [float(v) for v in values]
+    bad = [f"{n}={v!r}" for n, v in zip(names, values) if not math.isfinite(v)]
+    if bad:
+        raise NonFiniteResultError(f"the {kind} cycle overflows: {', '.join(bad)}")
+    return values
+
+
 def otto_cycle(spec: CycleSpec) -> OttoResult:
     """Evaluate one quasistatic Otto cycle.
 
     Engine validity requires W > 0 and Q_h > -Q_c > 0; eta = W/Q_h is
-    reported only for valid engines.
+    reported only for valid engines.  A non-finite heat or work (finite
+    inputs that overflow) raises ``NonFiniteResultError``.
     """
-    eps_i, eps_f = _cycle_energies(spec)
-    Q_h, Q_c, W = otto_mode_sums(eps_i, eps_f, spec.baths.beta_h, spec.baths.beta_c)
-    Q_h, Q_c, W = float(Q_h), float(Q_c), float(W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_i, eps_f = _cycle_energies(spec)
+        sums = otto_mode_sums(eps_i, eps_f, spec.baths.beta_h, spec.baths.beta_c)
+    Q_h, Q_c, W = _finite("otto", ("Q_h", "Q_c", "W"), sums)
     engine_valid = otto_engine_valid(W, Q_h, Q_c)
     eta = W / Q_h if engine_valid else None
     return OttoResult(spec=spec, Q_h=Q_h, Q_c=Q_c, W=W, eta=eta, engine_valid=engine_valid)
 
 
 def stirling_cycle(spec: CycleSpec) -> StirlingResult:
-    """Evaluate one quasistatic Stirling cycle (W > 0 and Q_h > 0 for an engine)."""
-    eps_i, eps_f = _cycle_energies(spec)
-    Q_I, Q_II, Q_III, Q_IV, W, Q_h = stirling_mode_sums(
-        eps_i, eps_f, spec.baths.beta_h, spec.baths.beta_c
-    )
-    Q_I, Q_II, Q_III, Q_IV = float(Q_I), float(Q_II), float(Q_III), float(Q_IV)
-    W, Q_h = float(W), float(Q_h)
+    """Evaluate one quasistatic Stirling cycle (W > 0 and Q_h > 0 for an engine).
+
+    A non-finite heat or work raises ``NonFiniteResultError``, as in ``otto_cycle``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_i, eps_f = _cycle_energies(spec)
+        sums = stirling_mode_sums(eps_i, eps_f, spec.baths.beta_h, spec.baths.beta_c)
+    Q_I, Q_II, Q_III, Q_IV, W, Q_h = _finite(
+        "stirling", ("Q_I", "Q_II", "Q_III", "Q_IV", "W", "Q_h"), sums)
     engine_valid = stirling_engine_valid(W, Q_h)
     eta = W / Q_h if engine_valid else None
     return StirlingResult(

@@ -5,14 +5,17 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from lrkengine import (
+    SHORT_RANGE,
     BathPair,
     ChainParams,
     CycleSpec,
+    NonFiniteResultError,
     SweepConfig,
     enhancement_regions,
     otto_cycle,
@@ -21,6 +24,7 @@ from lrkengine import (
     sweep_mu,
     winding_number,
 )
+from lrkengine.chain import spectrum_energies
 from lrkengine.cli import (
     EXIT_CONFIG,
     EXIT_CONTRACT,
@@ -28,7 +32,9 @@ from lrkengine.cli import (
     ConfigError,
     _build_parser,
     _file_argv,
+    _key_text,
     _write_csv,
+    _write_json,
     main,
 )
 
@@ -147,6 +153,37 @@ class TestCsvFormat:
             for mu, levels in zip(mus.tolist(), scan) for i, e in enumerate(levels))
         assert (out / "spectrum.csv").read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("alpha", [0.4, 1.5, 4.0, SHORT_RANGE])
+    @pytest.mark.parametrize("L", [2, 8, 200, 2000])
+    def test_spectrum_table_bytes(self, tmp_path, L, alpha):
+        # The row template writes what the generic writer writes from the full sort.
+        grids = [
+            ("-1", "1", "5"),  # 0.0 among the mu
+            ("-0.0", "-0.0", "2"),  # mu = 0.0, then -0.0
+            ("-5e-05", "1e-20", "3"),  # mu texts in exponent form
+            ("2.5", "3", "1"),  # one mu
+        ]
+        for n, (lo, hi, steps) in enumerate(grids):
+            code, out = run(tmp_path / str(n), "spectrum", "--L", str(L), "--alpha", repr(alpha),
+                            "--mu-min", lo, "--mu-max", hi, "--mu-steps", steps)
+            assert code == EXIT_OK
+            mus = np.linspace(float(lo), float(hi), int(steps))
+            e = spectrum_energies(ChainParams(L=L, alpha=alpha), mus)
+            _write_csv(tmp_path / f"{n}.csv", ["mu", "level_index", "energy"], [
+                np.repeat(_key_text(mus), L),
+                np.tile(np.arange(L), len(mus)),
+                np.sort(np.concatenate([-e, e], axis=1), axis=1).ravel(),
+            ])
+            assert (out / "spectrum.csv").read_bytes() == (tmp_path / f"{n}.csv").read_bytes()
+
+    def test_negated_text(self):
+        # The spectrum writer's premise: "%.17g" % -x is "-" + "%.17g" % x for x >= 0.
+        rng = np.random.default_rng(23)
+        bits = rng.integers(0, 0x7FF0_0000_0000_0000, 2000, dtype=np.int64).view(float)
+        wide = np.abs(rng.standard_normal(2000)) * 10.0 ** rng.integers(-320, 300, 2000)
+        for x in [0.0, 5e-324, 1e308, math.inf, *bits.tolist(), *wide.tolist()]:
+            assert "%.17g" % -x == "-" + "%.17g" % x, x
+
     @pytest.mark.parametrize("flag, value, row", [("--mu-min", "-5e-05", 1),
                                                   ("--mu-max", "-1E+3", -1)])
     def test_exponent_form_negative(self, tmp_path, flag, value, row):
@@ -220,6 +257,30 @@ class TestExitCodes:
         # mu=1 short-range: gap closes on the integration grid.
         code, _ = run(tmp_path, "winding", "--alpha", "inf", "--mu", "1", "--L", "200")
         assert code == EXIT_CONTRACT
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stirling", "--alpha", "1.5", "--L", "200", "--Delta", "1e308"],
+         "lrk: the stirling cycle overflows: Q_III=nan, W=nan\n"),
+        (["otto", "--alpha", "inf", "--L", "200", "--J", "1e308", "--mu-i", "1e308"],
+         "lrk: the otto cycle overflows: Q_h=nan, W=nan\n"),
+        (["spectrum", "--alpha", "1.5", "--L", "8", "--J", "1e308", "--mu-min", "1e308",
+          "--mu-max", "1.5e308", "--mu-steps", "2"],
+         "lrk: a level of the spectrum scan overflows to inf\n"),
+    ])
+    def test_overflow_is_contract_error(self, tmp_path, capsys, argv, message):
+        # Finite inputs that overflow: one line, no NaN or inf written, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *argv)
+        assert code == EXIT_CONTRACT
+        assert not out.exists()
+        assert capsys.readouterr().err == message
+
+    def test_json_rejects_non_finite(self, tmp_path):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteResultError):
+                _write_json(tmp_path / "x.json", {"W": value})
+            assert not (tmp_path / "x.json").exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.ini"

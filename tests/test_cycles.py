@@ -13,6 +13,7 @@ from lrkengine import (
     ContractViolationError,
     CycleSpec,
     InvalidParameterError,
+    NonFiniteResultError,
     build_spectrum,
     carnot_efficiency,
     otto_cycle,
@@ -170,6 +171,21 @@ class TestStirling:
         r = stirling_cycle(spec)
         assert r.engine_valid
         assert r.Q_II <= 0 and r.Q_III <= 0
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("cycle, Delta, J, mu_i, names", [
+        (stirling_cycle, 1e308, 1.0, 2.0, "Q_III=nan, W=nan"),
+        (otto_cycle, 1.0, 1e308, 1e308, "Q_h=nan, W=nan"),
+        (stirling_cycle, 1.0, 1e308, 1e308, "W=nan"),
+    ])
+    def test_non_finite_result_raises(self, cycle, Delta, J, mu_i, names):
+        # Finite inputs whose energies overflow leave inf - inf in the sums.
+        base = ChainParams(L=200, J=J, Delta=Delta, alpha=1.5)
+        spec = CycleSpec(base=base, mu_i=mu_i, mu_f=0.5 * mu_i,
+                         baths=BathPair(beta_h=1.0, beta_c=5.0))
+        with pytest.raises(NonFiniteResultError, match=names):
+            cycle(spec)
 
 
 class TestShortRangeContinuity:

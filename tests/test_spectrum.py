@@ -11,6 +11,7 @@ from lrkengine import (
     ChainParams,
     GaplessConfigurationError,
     InvalidParameterError,
+    NonFiniteResultError,
     build_spectrum,
     min_gap,
     momentum_grid,
@@ -18,6 +19,7 @@ from lrkengine import (
     spectrum_scan,
     winding_number,
 )
+from lrkengine.chain import spectrum_energies
 from lrkengine.oracle import DegenerateModeError, bogoliubov_angle, quasiparticle_energy
 
 
@@ -181,11 +183,22 @@ class TestScansAndGap:
         assert min_gap(chain(L=2000, mu=1.0, alpha=SHORT_RANGE)) < 5 * (2 * math.pi / 2000)
 
     def test_scan_levels_symmetric(self):
-        table = spectrum_scan(chain(L=8, alpha=1.5), [0.0, 0.5, 1.5])
-        assert table.shape == (3, 8)
-        for levels in table:
-            s = np.sort(levels)
-            np.testing.assert_allclose(s, -s[::-1], atol=1e-12)
+        # Each row is -e[::-1] then e, e the sorted energies: a bitwise mirror.
+        mus = [0.0, 0.5, 1.5]
+        for L, alpha in ((8, 1.5), (8, SHORT_RANGE), (2000, 1.5), (2000, SHORT_RANGE)):
+            table = spectrum_scan(chain(L=L, alpha=alpha), mus)
+            assert table.shape == (3, L)
+            n = L // 2
+            e = np.sort(spectrum_energies(chain(L=L, alpha=alpha), mus), axis=1)
+            assert np.array_equal(table[:, n:].view(np.uint64), e.view(np.uint64))
+            assert np.array_equal(table[:, :n].view(np.uint64),
+                                  (-table[:, n:][:, ::-1]).view(np.uint64))
+            assert np.all(np.diff(table, axis=1) >= 0.0)
+
+    def test_scan_overflow_raises(self):
+        # Finite J and mu whose Bloch vector overflows give an infinite level.
+        with pytest.raises(NonFiniteResultError):
+            spectrum_scan(chain(L=8, J=1e308, alpha=1.5), [1e308, 1.5e308])
 
     def test_near_critical_gap(self):
         # alpha=4, mu=1: gap close to zero at the level-spacing scale.

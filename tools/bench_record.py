@@ -16,6 +16,9 @@ The record holds:
   of 3 runs, with the SHA-256 of each ``optimal.json`` (equal across runs).
   A run's peak RSS is the ``ru_maxrss`` that ``os.wait4`` reports for its
   process, which covers its forked parts;
+* the same for whole CSV-writing runs: ``lrk spectrum`` at L = 2000 with 201
+  mu steps (the shape of the cli-io workload) and ``lrk reproduce-figure 1``,
+  with the SHA-256 of every CSV they write;
 * the tier-1 wall time, its outcome counts and its five slowest tests.
 
 The ``lrk`` runs pin OPENBLAS/OMP/MKL threads to 1, as ``bench/run.py``
@@ -113,31 +116,51 @@ def timed_run(argv, env):
     return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
+def timed_runs(repo, args, pattern):
+    """``RUNS`` runs of ``lrk args``: wall time and peak RSS as median and range, and
+    per output file matching ``pattern`` its distinct SHA-256 values over the runs."""
+    walls, rss, digests = [], [], {}
+    for _ in range(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [sys.executable, "-m", "lrkengine.cli", *args, "-o", tmp]
+            wall, peak = timed_run(argv, env_for(repo, True))
+            walls.append(wall)
+            rss.append(peak)
+            for path in sorted(Path(tmp).glob(pattern)):
+                digests.setdefault(path.name, set()).add(
+                    hashlib.sha256(path.read_bytes()).hexdigest())
+    print(*args, walls, rss, file=sys.stderr, flush=True)
+    return {
+        "median_s": round(statistics.median(walls), 3),
+        "range_s": [round(min(walls), 3), round(max(walls), 3)],
+        "runs_s": [round(w, 3) for w in walls],
+        "peak_rss_mb_median": round(statistics.median(rss), 1),
+        "peak_rss_mb_range": [round(min(rss), 1), round(max(rss), 1)],
+        "sha256": {name: sorted(d) for name, d in digests.items()},
+    }
+
+
 def optimal_times(repo):
     out = {}
     for cycle in ("stirling", "otto"):
         for beta_c in ("5", "0.05"):
             for workers in ("1", "2"):
-                walls, rss, digests = [], [], set()
-                for _ in range(RUNS):
-                    with tempfile.TemporaryDirectory() as tmp:
-                        argv = [sys.executable, "-m", "lrkengine.cli", "optimal", "--cycle",
-                                cycle, "--beta-c", beta_c, "--workers", workers, "-o", tmp]
-                        wall, peak = timed_run(argv, env_for(repo, True))
-                        walls.append(wall)
-                        rss.append(peak)
-                        digests.add(hashlib.sha256(
-                            (Path(tmp) / "optimal.json").read_bytes()).hexdigest())
-                out[f"{cycle} beta_c={beta_c} workers={workers}"] = {
-                    "median_s": round(statistics.median(walls), 3),
-                    "range_s": [round(min(walls), 3), round(max(walls), 3)],
-                    "runs_s": [round(w, 3) for w in walls],
-                    "peak_rss_mb_median": round(statistics.median(rss), 1),
-                    "peak_rss_mb_range": [round(min(rss), 1), round(max(rss), 1)],
-                    "optimal_json_sha256": sorted(digests),
-                }
-                print(cycle, beta_c, workers, walls, rss, file=sys.stderr, flush=True)
+                run = timed_runs(repo, ["optimal", "--cycle", cycle, "--beta-c", beta_c,
+                                        "--workers", workers], "optimal.json")
+                run["optimal_json_sha256"] = run.pop("sha256")["optimal.json"]
+                out[f"{cycle} beta_c={beta_c} workers={workers}"] = run
     return out
+
+
+#: Whole runs that write CSVs: the cli-io workload's shape, and figure 1's four tables.
+CSV_RUNS = {
+    "spectrum --alpha 1.5 (L=2000, 201 mu steps)": ["spectrum", "--alpha", "1.5"],
+    "reproduce-figure 1": ["reproduce-figure", "1"],
+}
+
+
+def csv_run_times(repo):
+    return {name: timed_runs(repo, args, "*.csv") for name, args in CSV_RUNS.items()}
 
 
 def tier1(repo):
@@ -161,6 +184,7 @@ def main(argv=None):
     record = {"provenance": provenance(repo), "src_lines": src_lines(repo)}
     record["bench_all"] = bench_all(repo)
     record["lrk_optimal_full_grid"] = optimal_times(repo)
+    record["lrk_csv_runs"] = csv_run_times(repo)
     record["tier1"] = tier1(repo)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
